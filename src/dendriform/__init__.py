@@ -23,6 +23,7 @@ from .terms import (
 from .poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
 from .rewrite import (
     Redex,
+    RewriteOrderError,
     RuleId,
     StaleRedexError,
     find_redexes,

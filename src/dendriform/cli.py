@@ -195,7 +195,6 @@ def _degree_list(text: str) -> list[int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks (reserved)")
 
     parser = argparse.ArgumentParser(prog="dendriform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Polynomial, apply_context
+from .poly import Coefficient, Polynomial, apply_context
 from .rewrite import RuleId, rule_polynomial
 from .terms import PREC, SUCC, Context, LWord, generator, hole, node
 
@@ -209,19 +209,20 @@ def row_echelon(rows) -> dict[int, dict[int, Fraction]]:
 
     Columns follow the descending word index, so the leading column of a
     row is its greatest monomial.  Pivot rows are scaled to a unit leading
-    coefficient.  Exact, deterministic, no pivoting heuristics.
+    coefficient, so their entries are Fractions even for integer rows.
+    Exact, deterministic, no pivoting heuristics.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
         r = reduce_vector(row, pivots)
         if r:
             lead = min(r)
-            inv = 1 / r[lead]
+            inv = Fraction(1, r[lead])
             pivots[lead] = {c: v * inv for c, v in r.items()}
     return pivots
 
 
-def reduce_vector(vec, pivots) -> dict[int, Fraction]:
+def reduce_vector(vec, pivots) -> dict[int, Coefficient]:
     """Remainder of a sparse vector after elimination against pivot rows."""
     r = {c: v for c, v in vec.items() if v}
     while r:
@@ -239,7 +240,7 @@ def reduce_vector(vec, pivots) -> dict[int, Fraction]:
     return r
 
 
-def coordinates(p: Polynomial, index: EnumerationIndex) -> dict[int, Fraction]:
+def coordinates(p: Polynomial, index: EnumerationIndex) -> dict[int, Coefficient]:
     """Sparse coordinate vector of a degree-homogeneous polynomial."""
     vec = {}
     for w, a in p._terms.items():

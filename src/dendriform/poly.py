@@ -1,9 +1,12 @@
 """Linear combinations of normal words over exact rationals.
 
 Polynomials are the elements of the free L-algebra on x1..xn: finite maps
-from normal words to nonzero Fractions.  All coefficient arithmetic is
-exact; zero tests are therefore decisions, not approximations.  Values are
-immutable and all operations are pure, so concurrent use is safe.
+from normal words to nonzero exact coefficients, each an ``int`` when it is
+integral and a ``Fraction`` otherwise.  Rewriting never divides, so
+integral input stays on Python integers throughout.  All coefficient
+arithmetic is exact; zero tests are therefore decisions, not
+approximations.  Values are immutable and all operations are pure, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -31,34 +34,44 @@ class AlphabetMismatchError(ValueError):
     """Operands live over different alphabet sizes."""
 
 
-def _accumulate(acc: dict, word: LWord, value: Fraction) -> None:
+Coefficient = int | Fraction
+
+
+def _exact(c) -> Coefficient:
+    """c as an exact coefficient: int when integral, else Fraction."""
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _accumulate(acc: dict, word: LWord, value: Coefficient) -> None:
     prev = acc.get(word)
-    if prev is None:
-        if value:
-            acc[word] = value
+    if prev is not None:
+        value += prev
+        if not value:
+            del acc[word]
+            return
+    elif not value:
         return
-    total = prev + value
-    if total:
-        acc[word] = total
-    else:
-        del acc[word]
+    # Sums and products of Fractions can be integral; those are stored as ints.
+    acc[word] = value if value.__class__ is int else _exact(value)
 
 
 class Polynomial:
     """Finite rational combination of normal words over x1..xn.
 
-    Zero coefficients are never stored; the empty combination is the zero
-    polynomial.  Iteration and formatting run in descending monomial order
-    so that output is reproducible bit for bit.
+    Coefficients are exact and nonzero: ``int`` when integral, ``Fraction``
+    otherwise.  Zero coefficients are never stored; the empty combination
+    is the zero polynomial.  Iteration and formatting run in descending
+    monomial order so that output is reproducible bit for bit.
     """
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[LWord, Fraction] | Iterable[tuple[LWord, Fraction]] = ()):
+    def __init__(self, n: int, terms: Mapping[LWord, Coefficient] | Iterable[tuple[LWord, Coefficient]] = ()):
         if n < 1:
             raise ValueError("alphabet size must be at least 1")
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[LWord, Fraction] = {}
+        acc: dict[LWord, Coefficient] = {}
         for word, coeff in pairs:
             if count_holes(word):
                 raise ValueError(f"polynomial words may not contain holes: {word}")
@@ -66,12 +79,12 @@ class Polynomial:
                 raise ValueError(f"polynomial words must be normal: {word}")
             if max_generator_index(word) > n:
                 raise AlphabetMismatchError(f"word {word} uses generators beyond x{n}")
-            _accumulate(acc, word, Fraction(coeff))
+            _accumulate(acc, word, _exact(coeff))
         self.n = n
         self._terms = acc
 
     @classmethod
-    def _raw(cls, n: int, terms: dict[LWord, Fraction]) -> "Polynomial":
+    def _raw(cls, n: int, terms: dict[LWord, Coefficient]) -> "Polynomial":
         # Internal fast path: caller guarantees normal hole-free words within
         # the alphabet and no zero coefficients.
         p = object.__new__(cls)
@@ -89,7 +102,7 @@ class Polynomial:
     def monomial(cls, word: LWord, coeff=1, *, n: int | None = None) -> "Polynomial":
         if n is None:
             n = max(1, max_generator_index(word))
-        return cls(n, [(word, Fraction(coeff))])
+        return cls(n, [(word, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -101,12 +114,12 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> list[tuple[LWord, Fraction]]:
+    def terms(self) -> list[tuple[LWord, Coefficient]]:
         """Term list in descending monomial order."""
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def coefficient(self, word: LWord) -> Fraction:
-        return self._terms.get(word, Fraction(0))
+    def coefficient(self, word: LWord) -> Coefficient:
+        return self._terms.get(word, 0)
 
     def degrees(self) -> set[int]:
         return {w.degree for w in self._terms}
@@ -138,10 +151,11 @@ class Polynomial:
     def __mul__(self, scalar) -> "Polynomial":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        a = Fraction(scalar)
-        if not a:
-            return Polynomial.zero(self.n)
-        return Polynomial._raw(self.n, {w: a * c for w, c in self._terms.items()})
+        a = _exact(scalar)
+        acc: dict[LWord, Coefficient] = {}
+        for word, coeff in self._terms.items():
+            _accumulate(acc, word, a * coeff)
+        return Polynomial._raw(self.n, acc)
 
     __rmul__ = __mul__
 
@@ -182,14 +196,14 @@ def mul(p: Polynomial, op: Op, q: Polynomial) -> Polynomial:
     """Bilinear extension of the basis products to polynomials."""
     _require_same_alphabet(p, q)
     prod = l_prec if op is PREC else l_succ
-    acc: dict[LWord, Fraction] = {}
+    acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
         for v, b in q._terms.items():
             _accumulate(acc, prod(u, v), a * b)
     return Polynomial._raw(p.n, acc)
 
 
-def leading(p: Polynomial) -> tuple[LWord, Fraction]:
+def leading(p: Polynomial) -> tuple[LWord, Coefficient]:
     """The greatest word of p under the monomial order, with its coefficient."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading word")
@@ -201,7 +215,7 @@ def apply_context(c: Context, p: Polynomial) -> Polynomial:
     """Substitute every word of p into the hole of c and re-normalize."""
     if max_generator_index(c.word) > p.n:
         raise AlphabetMismatchError(f"context {c.word} uses generators beyond x{p.n}")
-    acc: dict[LWord, Fraction] = {}
+    acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
         _accumulate(acc, normalize(substitute(c, u)), a)
     return Polynomial._raw(p.n, acc)

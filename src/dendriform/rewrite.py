@@ -19,16 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .poly import Polynomial, _accumulate
+from .poly import Coefficient, Polynomial, _accumulate
 from .terms import (
     PREC,
     SUCC,
-    Context,
     LWord,
     compare,
-    hole,
     is_normal,
     l_prec,
     l_succ,
@@ -82,6 +79,10 @@ class Redex:
 
 class StaleRedexError(ValueError):
     """The word does not carry the claimed redex at the claimed path."""
+
+
+class RewriteOrderError(RuntimeError):
+    """A rewrite step produced a word not strictly below the rewritten one."""
 
 
 def match_rule_at(u: LWord):
@@ -141,11 +142,6 @@ def subterm_at(u: LWord, path: tuple[str, ...]) -> LWord:
     return u
 
 
-def context_at(u: LWord, path: tuple[str, ...]) -> Context:
-    """The context obtained by carving out the subterm at the given path."""
-    return Context(_replace_at(u, path, hole(), 0))
-
-
 def _replace_at(u: LWord, path: tuple[str, ...], w: LWord, i: int) -> LWord:
     if i == len(path):
         return w
@@ -156,8 +152,9 @@ def _replace_at(u: LWord, path: tuple[str, ...], w: LWord, i: int) -> LWord:
     return node(u.op, u.left, _replace_at(u.right, path, w, i + 1))
 
 
-_ONE = Fraction(1)
-_TAIL_CACHE: dict[tuple[RuleId, tuple[LWord, ...]], tuple[LWord, dict[LWord, Fraction]]] = {}
+# Every rule coefficient is +-1 and rewriting never divides, so tails and
+# cached normal forms hold plain ints.
+_TAIL_CACHE: dict[tuple[RuleId, tuple[LWord, ...]], tuple[LWord, dict[LWord, int]]] = {}
 
 
 def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
@@ -173,20 +170,20 @@ def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
         x, y, z = bindings
         lead = l_prec(l_prec(x, y), z)
         tail = {}
-        _accumulate(tail, l_prec(x, l_prec(y, z)), _ONE)
-        _accumulate(tail, l_prec(x, l_succ(y, z)), _ONE)
+        _accumulate(tail, l_prec(x, l_prec(y, z)), 1)
+        _accumulate(tail, l_prec(x, l_succ(y, z)), 1)
     elif rule is RuleId.F2:
         x, y, z = bindings
         lead = l_succ(l_prec(x, y), z)
         tail = {}
-        _accumulate(tail, l_succ(x, l_succ(y, z)), _ONE)
-        _accumulate(tail, l_succ(l_succ(x, y), z), -_ONE)
+        _accumulate(tail, l_succ(x, l_succ(y, z)), 1)
+        _accumulate(tail, l_succ(l_succ(x, y), z), -1)
     else:
         x, y, z, v = bindings
         lead = l_succ(l_succ(l_succ(x, y), z), v)
         tail = {}
-        _accumulate(tail, l_succ(l_succ(x, y), l_succ(z, v)), _ONE)
-        _accumulate(tail, l_succ(l_succ(x, l_prec(y, z)), v), -_ONE)
+        _accumulate(tail, l_succ(l_succ(x, y), l_succ(z, v)), 1)
+        _accumulate(tail, l_succ(l_succ(x, l_prec(y, z)), v), -1)
     result = (lead, tail)
     _TAIL_CACHE[(rule, bindings)] = result
     return result
@@ -206,7 +203,7 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
         if not is_normal(b):
             raise ValueError(f"rule bindings must be normal words: {b}")
     lead, tail = _rule_parts(rule, bindings)
-    terms = {lead: _ONE}
+    terms = {lead: 1}
     for w, c in tail.items():
         _accumulate(terms, w, -c)
     if n is None:
@@ -214,16 +211,17 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     return Polynomial._raw(n, terms)
 
 
-def _step_terms(u: LWord, redex: Redex) -> dict[LWord, Fraction]:
+def _step_terms(u: LWord, redex: Redex) -> dict[LWord, int]:
     target = subterm_at(u, redex.path)
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
         raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {''.join(redex.path)!r}")
     tail = _rule_parts(redex.rule, redex.bindings)[1]
-    out: dict[LWord, Fraction] = {}
+    out: dict[LWord, int] = {}
     for w, c in tail.items():
         replaced = normalize(_replace_at(u, redex.path, w, 0))
-        assert compare(replaced, u) < 0, "rewrite step failed to descend"
+        if compare(replaced, u) >= 0:
+            raise RewriteOrderError(f"{redex.rule.name} step at path {''.join(redex.path)!r} failed to descend from {u}")
         _accumulate(out, replaced, c)
     return out
 
@@ -231,8 +229,8 @@ def _step_terms(u: LWord, redex: Redex) -> dict[LWord, Fraction]:
 def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     """Rewrite one occurrence: u minus the context-embedded rule instance.
 
-    Every word of the result is strictly smaller than u, which is asserted
-    per produced term.
+    Every word of the result is strictly smaller than u, which is checked
+    per produced term (``RewriteOrderError`` otherwise).
     """
     terms = _step_terms(u, redex)
     if n is None:
@@ -240,29 +238,24 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     return Polynomial._raw(n, dict(terms))
 
 
-_NF_CACHE: dict[LWord, dict[LWord, Fraction]] = {}
+_NF_CACHE: dict[LWord, dict[LWord, int]] = {}
 
 
-def _nf_word(u: LWord) -> dict[LWord, Fraction]:
+def _nf_word(u: LWord) -> dict[LWord, int]:
     res = _NF_CACHE.get(u)
     if res is not None:
         return res
     redex = first_redex(u)
     if redex is None:
-        res = {u: _ONE}
+        res = {u: 1}
     else:
-        acc: dict[LWord, Fraction] = {}
+        acc: dict[LWord, int] = {}
         for w, c in _step_terms(u, redex).items():
             for w2, c2 in _nf_word(w).items():
                 _accumulate(acc, w2, c * c2)
         res = acc
     _NF_CACHE[u] = res
     return res
-
-
-# The canonical form of a polynomial is a combination of normal DD-words,
-# so the alias names the contract of ``normal_form``.
-DDNormalForm = Polynomial
 
 
 def normal_form(p: Polynomial) -> Polynomial:
@@ -274,7 +267,7 @@ def normal_form(p: Polynomial) -> Polynomial:
     exhaustively at desk scale by the basis checks) and preserves the
     degree decomposition.
     """
-    acc: dict[LWord, Fraction] = {}
+    acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
         for w, c in _nf_word(u).items():
             _accumulate(acc, w, a * c)

@@ -70,7 +70,8 @@ def _sqrt_one_minus_4nt(m_max: int, n: int) -> list[Fraction]:
 
 
 def _as_count(c: Fraction) -> Fraction:
-    assert c.denominator == 1 and c >= 0, f"series coefficient {c} is not a count"
+    if c.denominator != 1 or c < 0:
+        raise RuntimeError(f"series coefficient {c} is not a count")
     return c
 
 
@@ -79,13 +80,15 @@ def series_from_gf(m_max: int, n: int) -> SeriesCoefficients:
 
     The square root is expanded by its binomial series; subtracting it from
     1 - 2nt must kill the constant and linear terms (this is the root with
-    value 0 at t = 0, asserted), after which dividing by 2nt is an index
-    shift.  Every coefficient is checked to be a nonnegative integer.
+    value 0 at t = 0, checked), after which dividing by 2nt is an index
+    shift.  Every coefficient is checked to be a nonnegative integer; a
+    failed check raises RuntimeError.
     """
     if m_max < 1 or n < 1:
         raise ValueError("order and alphabet size must be at least 1")
     s = _sqrt_one_minus_4nt(m_max + 1, n)
-    assert 1 - s[0] == 0 and -2 * n - s[1] == 0, "numerator must vanish to order 2"
+    if 1 - s[0] != 0 or -2 * n - s[1] != 0:
+        raise RuntimeError("numerator must vanish to order 2")
     coeffs = tuple(_as_count(-s[m + 1] / (2 * n)) for m in range(1, m_max + 1))
     return SeriesCoefficients(n, coeffs)
 
@@ -113,7 +116,8 @@ def abc_series(m_max: int, n: int) -> tuple[SeriesCoefficients, SeriesCoefficien
     q[0] = 1 - s[0]
     for i in range(1, m_max + 2):
         q[i] = -(s[i] - 2 * n * s[i - 1])
-    assert q[0] == 0, "numerator of the C series must vanish at order 0"
+    if q[0] != 0:
+        raise RuntimeError("numerator of the C series must vanish at order 0")
     c_coeffs = []
     for m in range(1, m_max + 1):
         value = q[m + 1] / (2 * n)

@@ -52,6 +52,12 @@ class TestNormalize:
         code, _, err = run(capsys, "normalize")
         assert code == 2 and "usage error" in err
 
+    def test_unknown_seed_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "normalize", "--seed", "1", "x1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_rule1_head(self, capsys):

@@ -79,6 +79,10 @@ class TestLocalConfluence:
         with pytest.raises(ValueError):
             check_local_confluence(2, 1)
 
+    def test_residuals_hold_int_coefficients(self):
+        for report in check_local_confluence(5, 1) + right_mult_sweep(6, 1):
+            assert all(type(c) is int for _, c in report.residual.terms())
+
 
 class TestNamedCases:
     def test_shapes(self):

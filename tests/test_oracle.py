@@ -1,5 +1,7 @@
 import pytest
 
+from fractions import Fraction
+
 from dendriform.oracle import (
     build_relation_matrix,
     coordinates,
@@ -7,6 +9,7 @@ from dendriform.oracle import (
     enumerate_dd_words,
     enumerate_normal_lwords,
     quotient_dim,
+    row_echelon,
     vector_in_row_space,
 )
 from dendriform.poly import Polynomial
@@ -93,6 +96,14 @@ class TestRelationMatrix:
     def test_below_degree_three_rejected(self):
         with pytest.raises(ValueError):
             build_relation_matrix(2, 1)
+
+    def test_integer_rows_give_exact_unit_pivots(self):
+        rows = ({0: 2, 1: 3, 2: 1}, {1: -1, 2: 4}, {0: 4, 1: 5, 2: 6}, {2: 7})
+        pivots = row_echelon(rows)
+        assert sorted(pivots) == [0, 1, 2]
+        assert all(piv[lead] == 1 for lead, piv in pivots.items())
+        assert all(type(v) is Fraction for piv in pivots.values() for v in piv.values())
+        assert pivots[0] == {0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}
 
 
 class TestQuotientDimension:

@@ -153,3 +153,31 @@ class TestSerialization:
         assert str(p) == "2*(x1 < x2) - x1"
         assert str(Polynomial.zero(2)) == "0"
         assert str(-mono(x1)) == "-x1"
+
+    def test_mixed_coefficients_render_as_before(self):
+        p = Polynomial(3, [
+            (l_prec(x1, x2), 2), (l_succ(x1, x2), -1), (l_prec(x1, l_prec(x2, x3)), Fraction(-5, 3)),
+            (x3, Fraction(1, 2)), (x2, Fraction(4, 2)), (l_succ(x2, x3), 1), (x1, -3),
+        ])
+        assert str(p) == "-5/3*(x1 < (x2 < x3)) + 2*(x1 < x2) + (x2 > x3) - (x1 > x2) + 1/2*x3 + 2*x2 - 3*x1"
+        assert [t["coeff"] for t in p.to_json_dict()["terms"]] == ["-5/3", "2", "1", "-1", "1/2", "2", "-3"]
+
+
+class TestCoefficientDomain:
+    def test_integral_rationals_are_stored_as_int(self):
+        assert type(mono(x1, Fraction(4, 2)).coefficient(x1)) is int
+        assert mono(x1, Fraction(4, 2)).coefficient(x1) == 2
+        third = mono(x1, Fraction(2, 3))
+        assert type(third.coefficient(x1)) is Fraction
+        assert type((3 * third).coefficient(x1)) is int
+        assert type((third + third + third).coefficient(x1)) is int
+        assert type((Fraction(3, 2) * mono(x1, 2)).coefficient(x1)) is int
+
+    def test_missing_word_has_int_coefficient_zero(self):
+        zero = mono(x1).coefficient(x2)
+        assert zero == 0 and type(zero) is int
+
+    def test_integer_arithmetic_stays_int(self):
+        p = mono(l_prec(x1, x2), 2) - mono(x1, 3)
+        q = mul(p, PREC, -p) + apply_context(Context(node(SUCC, hole(), x3)), p)
+        assert all(type(c) is int for _, c in q.terms())

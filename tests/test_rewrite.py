@@ -139,9 +139,10 @@ class TestRewriteStep:
                 for w in enumerate_normal_lwords(m, n).words:
                     for r in find_redexes(w):
                         out = rewrite_step(w, r, n=n)
-                        for produced, _ in out.terms():
+                        for produced, coeff in out.terms():
                             assert compare(produced, w) == -1
                             assert produced.degree == w.degree
+                            assert type(coeff) is int
 
 
 class TestNormalForm:
@@ -164,6 +165,8 @@ class TestNormalForm:
                 for w in enumerate_normal_lwords(m, n).words:
                     nf = normal_form(Polynomial.monomial(w, n=n))
                     assert all(is_dd_normal(t) for t, _ in nf.terms())
+                    # The rules' coefficients are +-1 and reduction never divides.
+                    assert all(type(c) is int for _, c in nf.terms())
 
     def test_strategy_independence(self):
         # Every redex of every small word leads to the same normal form.
