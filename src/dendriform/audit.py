@@ -1,0 +1,197 @@
+"""The paper's machine-checkable claims, each defined once as a named check.
+
+``CHECKS`` is a plain tuple of functions.  Each takes no arguments and
+returns ``(ok, counts)``: whether the claim held, and a dict of the
+deterministic counts the check computed on the way (report counts, ranks,
+growth values as strings).  The acceptance tests and ``dendriform audit``
+both run this tuple.  Every check is exact (integer or rational equality);
+nothing is tolerance tuned.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from .gsbcheck import (
+    check_local_confluence,
+    check_named_cases,
+    coverage_audit,
+    right_mult_sweep,
+)
+from .oracle import (
+    build_relation_matrix,
+    enumerate_dd_words,
+    enumerate_normal_lwords,
+    quotient_dim,
+)
+from .poly import Polynomial, mul
+from .rewrite import RuleId, find_redexes, is_dd_normal, normal_form, rewrite_step
+from .series import abc_series, dim_closed, f_recursive, gk_statistic, series_from_gf
+from .terms import PREC, SUCC, compare
+
+
+def sample_normal_word(rng: random.Random, max_degree: int, n: int):
+    """A normal word of seeded random degree 1..max_degree, uniform within it."""
+    m = rng.randint(1, max_degree)
+    words = enumerate_normal_lwords(m, n).words
+    return words[rng.randrange(len(words))]
+
+
+def criterion_1_dimension_formula_three_ways():
+    """Recursion, closed form and series agree exactly to degree 30."""
+    ok = True
+    for n in (1, 2, 3):
+        gf = series_from_gf(30, n)
+        for m in range(1, 31):
+            closed = dim_closed(m, n)
+            ok = ok and f_recursive(m) * n**m == closed == gf.coefficient(m)
+    return ok, {}
+
+
+def criterion_2_seed_dimensions():
+    """Degree 1 and 2 dimensions are n and 2n^2."""
+    ok = True
+    for n in (1, 2, 3):
+        ok = ok and dim_closed(1, n) == n == len(enumerate_dd_words(1, n))
+        ok = ok and dim_closed(2, n) == 2 * n**2 == len(enumerate_dd_words(2, n))
+    return ok, {}
+
+
+def criterion_3_oracle_quotient():
+    """Exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant."""
+    ok = True
+    counts = {}
+    cases = [(m, 1) for m in range(1, 6)] + [(m, 2) for m in range(1, 5)]
+    for m, n in cases:
+        expected = dim_closed(m, n)
+        got = counts[f"quotient_dim({m},{n})"] = quotient_dim(m, n)
+        ok = ok and got == expected
+        ok = ok and len(enumerate_dd_words(m, n)) == expected
+        if m >= 3:
+            plain = build_relation_matrix(m, n, include_f3=False)
+            with_f3 = build_relation_matrix(m, n, include_f3=True)
+            ok = ok and plain.rank == with_f3.rank
+    return ok, counts
+
+
+def criterion_4_basis_verification():
+    """Right multiplications, overlaps and named cases all reduce to zero."""
+    sweeps = {
+        "right_mult_sweep(6,1)": right_mult_sweep(6, 1),  # every instance of total degree <= 5 and more
+        "check_local_confluence(6,1)": check_local_confluence(6, 1),
+        "check_local_confluence(5,2)": check_local_confluence(5, 2),
+        "check_named_cases(6)": check_named_cases(6),
+    }
+    ok = all(reports and all(r.ok and r.residual.is_zero for r in reports) for reports in sweeps.values())
+    ok = ok and len(sweeps["check_named_cases(6)"]) == 5
+    return ok, {label: len(reports) for label, reports in sweeps.items()}
+
+
+def criterion_5_rewrite_soundness():
+    """Descent, termination, DD-normal images, axioms vanish on 200 triples."""
+    ok = True
+    # Monomial descent at every redex, and DD-normal images for every word.
+    for n in (1, 2):
+        for m in range(1, 7):
+            for w in enumerate_normal_lwords(m, n).words:
+                for redex in find_redexes(w):
+                    step = rewrite_step(w, redex, n=n)
+                    ok = ok and all(compare(t, w) == -1 for t, _ in step.terms())
+                nf = normal_form(Polynomial.monomial(w, n=n))
+                ok = ok and all(is_dd_normal(t) for t, _ in nf.terms())
+    # Dendriform axioms on 200 seeded random triples of dd words.
+    rng = random.Random(170_501)
+    checked = 0
+    while checked < 200:
+        da = rng.randint(1, 4)
+        db = rng.randint(1, 5 - da)
+        dc = rng.randint(1, 6 - da - db)
+        words = enumerate_dd_words(da, 2), enumerate_dd_words(db, 2), enumerate_dd_words(dc, 2)
+        a, b, c = (ws[rng.randrange(len(ws))] for ws in words)
+        pa, pb, pc = (Polynomial.monomial(t, n=2) for t in (a, b, c))
+        entangle = mul(mul(pa, SUCC, pb), PREC, pc) - mul(pa, SUCC, mul(pb, PREC, pc))
+        left_split = (
+            mul(mul(pa, PREC, pb), PREC, pc)
+            - mul(pa, PREC, mul(pb, PREC, pc))
+            - mul(pa, PREC, mul(pb, SUCC, pc))
+        )
+        right_split = (
+            mul(pa, SUCC, mul(pb, SUCC, pc))
+            - mul(mul(pa, SUCC, pb), SUCC, pc)
+            - mul(mul(pa, PREC, pb), SUCC, pc)
+        )
+        ok = ok and normal_form(entangle).is_zero
+        ok = ok and normal_form(left_split).is_zero
+        ok = ok and normal_form(right_split).is_zero
+        checked += 1
+    return ok, {"triples": checked}
+
+
+def criterion_6_entanglement_identity():
+    """Entanglement identity exact on 500 seeded triples."""
+    rng = random.Random(93)
+    ok = True
+    for i in range(500):
+        n = (1, 2, 3)[i % 3]
+        u = sample_normal_word(rng, 5, n)
+        v = sample_normal_word(rng, 5, n)
+        w = sample_normal_word(rng, 5, n)
+        pu, pv, pw = (Polynomial.monomial(t, n=n) for t in (u, v, w))
+        ok = ok and mul(mul(pu, SUCC, pv), PREC, pw) == mul(pu, SUCC, mul(pv, PREC, pw))
+    return ok, {"triples": 500}
+
+
+def criterion_7_series_decomposition():
+    """Subspace series satisfy both functional equations to degree 30."""
+    ok = True
+    m_max = 30
+    for n in (1, 2, 3):
+        a, b, c = abc_series(m_max, n)
+        total = series_from_gf(m_max, n)
+        ok = ok and b == a
+        mix = [2 * a.coefficient(m) + c.coefficient(m) for m in range(1, m_max + 1)]
+        inner = list(mix)
+        inner[0] += n
+        square = [Fraction(0)] * m_max
+        for i in range(1, m_max + 1):
+            for j in range(1, m_max + 1 - i):
+                square[i + j - 1] += inner[i - 1] * inner[j - 1]
+        for m in range(1, m_max + 1):
+            first_rhs = Fraction(n**2 if m == 2 else 0) + (n * mix[m - 2] if m >= 2 else 0)
+            second_rhs = n * square[m - 2] if m >= 2 else Fraction(0)
+            ok = ok and a.coefficient(m) == first_rhs
+            ok = ok and c.coefficient(m) == second_rhs
+            degree_one = n if m == 1 else 0
+            ok = ok and degree_one + a.coefficient(m) + b.coefficient(m) + c.coefficient(m) == total.coefficient(m)
+    return ok, {}
+
+
+def criterion_8_growth_divergence():
+    """Growth statistic increases over 10^2..10^4 and exceeds 10."""
+    degrees = (100, 1000, 10000)
+    values = [gk_statistic(d, 1).value for d in degrees]
+    ok = values[0] < values[1] < values[2] and max(values) > 10
+    return ok, {f"gk({d},1)": str(v) for d, v in zip(degrees, values)}
+
+
+def family_census():
+    """Every inclusion family and both right multiplications occur by degree 6 over two generators."""
+    census = coverage_audit(6, 2)
+    families = [f"inclusion:{outer.name}/{inner.name}" for outer in RuleId for inner in RuleId]
+    families += ["right_mult:F2", "right_mult:F3"]
+    ok = all(census.get(family, 0) > 0 for family in families)
+    return ok, dict(sorted(census.items()))
+
+
+CHECKS = (
+    criterion_1_dimension_formula_three_ways,
+    criterion_2_seed_dimensions,
+    criterion_3_oracle_quotient,
+    criterion_4_basis_verification,
+    criterion_5_rewrite_soundness,
+    criterion_6_entanglement_identity,
+    criterion_7_series_decomposition,
+    criterion_8_growth_divergence,
+    family_census,
+)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
+audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
+error, or input nested too deep to process.
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import gsbcheck, oracle, series
+from . import audit, gsbcheck, oracle, series
 from .poly import Polynomial
 from .rewrite import normal_form
 from .terms import ParseError, count_normal_lwords, normalize, parse_lword
@@ -150,11 +151,8 @@ def _cmd_verify_gsb(args) -> int:
 def _cmd_oracle_dim(args) -> int:
     m, n = args.degree, args.generators
     n_words = len(oracle.enumerate_normal_lwords(m, n).words)
-    if m < 3:
-        rank = 0
-    else:
-        rank = oracle.build_relation_matrix(m, n, args.include_f3).rank
-    quotient = n_words - rank
+    quotient = oracle.quotient_dim(m, n, args.include_f3)
+    rank = n_words - quotient
     closed = series.dim_closed(m, n)
     payload = {
         "degree": m,
@@ -173,6 +171,20 @@ def _cmd_oracle_dim(args) -> int:
             f"  closed form {closed}  agree {payload['agree']}"
         )
     return 0 if payload["agree"] else 1
+
+
+def _cmd_audit(args) -> int:
+    results = []
+    for check in audit.CHECKS:
+        ok, counts = check()
+        results.append({"name": check.__name__, "ok": ok, "counts": counts})
+    if args.format == "json":
+        _emit_json(results)
+    else:
+        for r in results:
+            counts = "".join(f"  {key}={value}" for key, value in r["counts"].items())
+            print(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}{counts}")
+    return 0 if all(r["ok"] for r in results) else 1
 
 
 def _positive_int(text: str) -> int:
@@ -237,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_positive_int, required=True)
     p.add_argument("--include-f3", action="store_true", help="also add the redundant F3 rows")
     p.set_defaults(func=_cmd_oracle_dim)
+
+    p = sub.add_parser("audit", parents=[common], help="run every acceptance check of the paper's claims")
+    p.set_defaults(func=_cmd_audit)
     return parser
 
 
@@ -250,6 +265,9 @@ def main(argv=None) -> int:
         return 2
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"input too deep: nesting exceeds the recursion limit of {sys.getrecursionlimit()}", file=sys.stderr)
         return 2
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
-from .oracle import _compositions, _normal_words, enumerate_normal_lwords
+from .oracle import binding_tuples, enumerate_normal_lwords
 from .poly import Polynomial, leading, mul
 from .rewrite import (
     Redex,
@@ -109,10 +108,8 @@ def right_mult_sweep(max_total_degree: int, n: int) -> list[CompositionReport]:
     for rule in RIGHT_MULT_RULES:
         slots = rule.arity + 1  # bindings plus the right factor
         for total in range(slots, max_total_degree + 1):
-            for degrees in _compositions(total, slots):
-                pools = [_normal_words(d, n) for d in degrees]
-                for words in product(*pools):
-                    reports.append(check_right_mult(rule, words[:-1], words[-1], n=n))
+            for words in binding_tuples(total, slots, n):
+                reports.append(check_right_mult(rule, words[:-1], words[-1], n=n))
     reports.sort(key=_report_sort_key)
     return reports
 
@@ -135,6 +132,20 @@ def _check_pair(w: LWord, r1: Redex, r2: Redex, n: int) -> CompositionReport:
     )
 
 
+def _redex_pairs(words):
+    """(word, first redex, second redex) for every pair of redexes of each word."""
+    for w in words:
+        redexes = find_redexes(w)
+        for i, r1 in enumerate(redexes):
+            for r2 in redexes[i + 1 :]:
+                yield w, r1, r2
+
+
+def _normal_words_from_degree_3(max_degree: int, n: int):
+    for m in range(3, max_degree + 1):
+        yield from enumerate_normal_lwords(m, n).words
+
+
 def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:
     """Check every redex pair of every normal word up to the degree bound.
 
@@ -146,15 +157,8 @@ def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:
         raise ValueError("redexes need degree at least 3")
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
-    reports = []
-    for m in range(3, max_degree + 1):
-        for w in enumerate_normal_lwords(m, n).words:
-            redexes = find_redexes(w)
-            if len(redexes) < 2:
-                continue
-            for i in range(len(redexes)):
-                for j in range(i + 1, len(redexes)):
-                    reports.append(_check_pair(w, redexes[i], redexes[j], n))
+    pairs = _redex_pairs(_normal_words_from_degree_3(max_degree, n))
+    reports = [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]
     reports.sort(key=_report_sort_key)
     return reports
 
@@ -190,12 +194,8 @@ def named_ambiguity_words(n: int) -> dict[str, LWord]:
 
 def check_named_cases(n: int) -> list[CompositionReport]:
     """Check every redex pair of the three named overlap shapes."""
-    reports = []
-    for w in named_ambiguity_words(n).values():
-        redexes = find_redexes(w)
-        for i in range(len(redexes)):
-            for j in range(i + 1, len(redexes)):
-                reports.append(_check_pair(w, redexes[i], redexes[j], n))
+    pairs = _redex_pairs(named_ambiguity_words(n).values())
+    reports = [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]
     reports.sort(key=_report_sort_key)
     return reports
 
@@ -219,22 +219,12 @@ def coverage_audit(max_degree: int, n: int) -> dict[str, int]:
     to the bound (classification only, no reduction), plus the number of
     right-multiplication instances per SUCC-leading rule.
     """
-    families: Counter[str] = Counter()
-    for m in range(3, max_degree + 1):
-        for w in enumerate_normal_lwords(m, n).words:
-            redexes = find_redexes(w)
-            for i in range(len(redexes)):
-                for j in range(i + 1, len(redexes)):
-                    families[classify_redex_pair(redexes[i], redexes[j])] += 1
+    families: Counter[str] = Counter(
+        classify_redex_pair(r1, r2) for _, r1, r2 in _redex_pairs(_normal_words_from_degree_3(max_degree, n))
+    )
     for rule in RIGHT_MULT_RULES:
         slots = rule.arity + 1
-        count = 0
-        for total in range(slots, max_degree + 1):
-            for degrees in _compositions(total, slots):
-                instances = 1
-                for d in degrees:
-                    instances *= len(_normal_words(d, n))
-                count += instances
+        count = sum(1 for total in range(slots, max_degree + 1) for _ in binding_tuples(total, slots, n))
         if count:
             families[f"right_mult:{rule.name}"] = count
     return dict(families)

@@ -142,6 +142,17 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def binding_tuples(total: int, slots: int, n: int):
+    """Every tuple of ``slots`` normal words whose degrees sum to ``total``.
+
+    Degree splits come in lexicographic order and, within a split, words in
+    enumeration order; relation rows and right-multiplication sweeps both
+    rely on that order.
+    """
+    for degrees in _compositions(total, slots):
+        yield from product(*(_normal_words(d, n) for d in degrees))
+
+
 class RelationMatrix:
     """Degree-homogeneous rows spanning the degree-m piece of the ideal.
 
@@ -194,13 +205,11 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
         arity = rule.arity
         for inst_degree in range(arity, m + 1):
             contexts = enumerate_contexts(m - inst_degree + 1, n)
-            for degrees in _compositions(inst_degree, arity):
-                pools = [_normal_words(d, n) for d in degrees]
-                for bindings in product(*pools):
-                    relation = rule_polynomial(rule, bindings, n=n)
-                    for c in contexts:
-                        embedded = apply_context(c, relation)
-                        rows.append({index.position[w]: a for w, a in embedded._terms.items()})
+            for bindings in binding_tuples(inst_degree, arity, n):
+                relation = rule_polynomial(rule, bindings, n=n)
+                for c in contexts:
+                    embedded = apply_context(c, relation)
+                    rows.append({index.position[w]: a for w, a in embedded._terms.items()})
     return RelationMatrix(m, n, include_f3, index, tuple(rows))
 
 

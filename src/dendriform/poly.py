@@ -38,7 +38,12 @@ Coefficient = int | Fraction
 
 
 def _exact(c) -> Coefficient:
-    """c as an exact coefficient: int when integral, else Fraction."""
+    """c as an exact coefficient: int when integral, else Fraction.
+
+    A float is refused: its exact binary value is rarely the rational meant.
+    """
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r} is not exact; give an int, Fraction or str")
     q = Fraction(c)
     return q.numerator if q.denominator == 1 else q
 

@@ -72,14 +72,6 @@ class LWord:
         self.index = index
         self.degree = degree
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.op is None
-
-    @property
-    def is_hole(self) -> bool:
-        return self.index == _HOLE_INDEX
-
     def __lt__(self, other: "LWord") -> bool:
         return compare(self, other) < 0
 

@@ -4,7 +4,7 @@ import random
 
 import hypothesis.strategies as st
 
-from dendriform.oracle import enumerate_dd_words, enumerate_normal_lwords
+from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.terms import PREC, SUCC, generator, node, normalize
 
@@ -28,12 +28,6 @@ def normal_words(n=2, max_degree=6):
 def polynomials(n=2, max_degree=5, max_terms=5):
     pairs = st.tuples(normal_words(n=n, max_degree=max_degree), st.integers(-4, 4))
     return st.lists(pairs, max_size=max_terms).map(lambda prs: Polynomial(n, prs))
-
-
-def sample_normal_word(rng: random.Random, max_degree: int, n: int):
-    m = rng.randint(1, max_degree)
-    words = enumerate_normal_lwords(m, n).words
-    return words[rng.randrange(len(words))]
 
 
 def sample_dd_word(rng: random.Random, max_degree: int, n: int):

@@ -1,156 +1,22 @@
-"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
+"""Acceptance suite: one test per check of ``dendriform.audit.CHECKS``.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
-All checks are exact (integer or rational equality); nothing is tolerance
-tuned.
+The criteria, with their degree bounds and seeds, are defined once in
+``dendriform/audit.py``; ``dendriform audit`` runs the same tuple and prints
+one PASS/FAIL line per check.  Each test is named ``test_`` plus its check's
+name, so a failure reads as the claim that failed.
 """
 
-import random
-from fractions import Fraction
-
-from _strategies import sample_normal_word
-from dendriform.gsbcheck import (
-    check_local_confluence,
-    check_named_cases,
-    right_mult_sweep,
-)
-from dendriform.oracle import (
-    build_relation_matrix,
-    enumerate_dd_words,
-    enumerate_normal_lwords,
-    quotient_dim,
-)
-from dendriform.poly import Polynomial, mul
-from dendriform.rewrite import find_redexes, is_dd_normal, normal_form, rewrite_step
-from dendriform.series import abc_series, dim_closed, f_recursive, gk_statistic, series_from_gf
-from dendriform.terms import PREC, SUCC, compare
+from dendriform import audit
 
 
-def _report(number: int, description: str, ok: bool) -> None:
-    print(f"criterion {number} ({description}): {'PASS' if ok else 'FAIL'}")
-    assert ok, f"criterion {number} failed: {description}"
+def _acceptance_test(check):
+    def test():
+        ok, counts = check()
+        assert ok, f"{check.__name__} failed: {check.__doc__} {counts}"
+
+    test.__name__ = test.__qualname__ = f"test_{check.__name__}"
+    return test
 
 
-def test_criterion_1_dimension_formula_three_ways():
-    ok = True
-    for n in (1, 2, 3):
-        gf = series_from_gf(30, n)
-        for m in range(1, 31):
-            closed = dim_closed(m, n)
-            ok = ok and f_recursive(m) * n**m == closed == gf.coefficient(m)
-    _report(1, "recursion, closed form and series agree exactly to degree 30", ok)
-
-
-def test_criterion_2_seed_dimensions():
-    ok = True
-    for n in (1, 2, 3):
-        ok = ok and dim_closed(1, n) == n == len(enumerate_dd_words(1, n))
-        ok = ok and dim_closed(2, n) == 2 * n**2 == len(enumerate_dd_words(2, n))
-    _report(2, "degree 1 and 2 dimensions are n and 2n^2", ok)
-
-
-def test_criterion_3_oracle_quotient():
-    ok = True
-    cases = [(m, 1) for m in range(1, 6)] + [(m, 2) for m in range(1, 5)]
-    for m, n in cases:
-        expected = dim_closed(m, n)
-        ok = ok and quotient_dim(m, n) == expected
-        ok = ok and len(enumerate_dd_words(m, n)) == expected
-        if m >= 3:
-            plain = build_relation_matrix(m, n, include_f3=False)
-            with_f3 = build_relation_matrix(m, n, include_f3=True)
-            ok = ok and plain.rank == with_f3.rank
-    _report(3, "exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant", ok)
-
-
-def test_criterion_4_basis_verification():
-    right = right_mult_sweep(6, 1)  # covers every instance of total degree <= 5 and more
-    ok = bool(right) and all(r.ok and r.residual.is_zero for r in right)
-    for max_degree, n in ((6, 1), (5, 2)):
-        reports = check_local_confluence(max_degree, n)
-        ok = ok and bool(reports) and all(r.ok and r.residual.is_zero for r in reports)
-    named = check_named_cases(6)
-    ok = ok and len(named) == 5 and all(r.ok and r.residual.is_zero for r in named)
-    _report(4, "right multiplications, overlaps and named cases all reduce to zero", ok)
-
-
-def test_criterion_5_rewrite_soundness():
-    ok = True
-    # Monomial descent at every redex, and DD-normal images for every word.
-    for n in (1, 2):
-        for m in range(1, 7):
-            for w in enumerate_normal_lwords(m, n).words:
-                for redex in find_redexes(w):
-                    step = rewrite_step(w, redex, n=n)
-                    ok = ok and all(compare(t, w) == -1 for t, _ in step.terms())
-                nf = normal_form(Polynomial.monomial(w, n=n))
-                ok = ok and all(is_dd_normal(t) for t, _ in nf.terms())
-    # Dendriform axioms on 200 seeded random triples of dd words.
-    rng = random.Random(170_501)
-    checked = 0
-    while checked < 200:
-        da = rng.randint(1, 4)
-        db = rng.randint(1, 5 - da)
-        dc = rng.randint(1, 6 - da - db)
-        words = enumerate_dd_words(da, 2), enumerate_dd_words(db, 2), enumerate_dd_words(dc, 2)
-        a, b, c = (ws[rng.randrange(len(ws))] for ws in words)
-        pa, pb, pc = (Polynomial.monomial(t, n=2) for t in (a, b, c))
-        entangle = mul(mul(pa, SUCC, pb), PREC, pc) - mul(pa, SUCC, mul(pb, PREC, pc))
-        left_split = (
-            mul(mul(pa, PREC, pb), PREC, pc)
-            - mul(pa, PREC, mul(pb, PREC, pc))
-            - mul(pa, PREC, mul(pb, SUCC, pc))
-        )
-        right_split = (
-            mul(pa, SUCC, mul(pb, SUCC, pc))
-            - mul(mul(pa, SUCC, pb), SUCC, pc)
-            - mul(mul(pa, PREC, pb), SUCC, pc)
-        )
-        ok = ok and normal_form(entangle).is_zero
-        ok = ok and normal_form(left_split).is_zero
-        ok = ok and normal_form(right_split).is_zero
-        checked += 1
-    _report(5, "descent, termination, DD-normal images, axioms vanish on 200 triples", ok)
-
-
-def test_criterion_6_entanglement_identity():
-    rng = random.Random(93)
-    ok = True
-    for i in range(500):
-        n = (1, 2, 3)[i % 3]
-        u = sample_normal_word(rng, 5, n)
-        v = sample_normal_word(rng, 5, n)
-        w = sample_normal_word(rng, 5, n)
-        pu, pv, pw = (Polynomial.monomial(t, n=n) for t in (u, v, w))
-        ok = ok and mul(mul(pu, SUCC, pv), PREC, pw) == mul(pu, SUCC, mul(pv, PREC, pw))
-    _report(6, "entanglement identity exact on 500 seeded triples", ok)
-
-
-def test_criterion_7_series_decomposition():
-    ok = True
-    m_max = 30
-    for n in (1, 2, 3):
-        a, b, c = abc_series(m_max, n)
-        total = series_from_gf(m_max, n)
-        ok = ok and b == a
-        mix = [2 * a.coefficient(m) + c.coefficient(m) for m in range(1, m_max + 1)]
-        inner = list(mix)
-        inner[0] += n
-        square = [Fraction(0)] * m_max
-        for i in range(1, m_max + 1):
-            for j in range(1, m_max + 1 - i):
-                square[i + j - 1] += inner[i - 1] * inner[j - 1]
-        for m in range(1, m_max + 1):
-            first_rhs = Fraction(n**2 if m == 2 else 0) + (n * mix[m - 2] if m >= 2 else 0)
-            second_rhs = n * square[m - 2] if m >= 2 else Fraction(0)
-            ok = ok and a.coefficient(m) == first_rhs
-            ok = ok and c.coefficient(m) == second_rhs
-            degree_one = n if m == 1 else 0
-            ok = ok and degree_one + a.coefficient(m) + b.coefficient(m) + c.coefficient(m) == total.coefficient(m)
-    _report(7, "subspace series satisfy both functional equations to degree 30", ok)
-
-
-def test_criterion_8_growth_divergence():
-    values = [gk_statistic(d, 1).value for d in (100, 1000, 10000)]
-    ok = values[0] < values[1] < values[2] and max(values) > 10
-    _report(8, "growth statistic increases over 10^2..10^4 and exceeds 10", ok)
+for _check in audit.CHECKS:
+    globals()[f"test_{_check.__name__}"] = _acceptance_test(_check)

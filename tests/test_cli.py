@@ -59,6 +59,15 @@ class TestNormalize:
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["normalize", "reduce"])
+def test_too_deep_input_exits_2_with_one_line(capsys, command):
+    depth = 1500
+    code, out, err = run(capsys, command, "(x1 > " * depth + "x1" + ")" * depth)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input too deep: ")
+    assert "Traceback" not in err
+
+
 class TestReduce:
     def test_rule1_head(self, capsys):
         code, out, _ = run(capsys, "reduce", "((x1 < x2) < x3)")
@@ -175,3 +184,19 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestAudit:
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        from dendriform import audit
+
+        def always_fails():
+            return False, {"reports": 3}
+
+        monkeypatch.setattr(audit, "CHECKS", (always_fails,))
+        code, out, _ = run(capsys, "audit")
+        assert code == 1
+        assert out == "FAIL always_fails  reports=3\n"
+        code, out, _ = run(capsys, "audit", "--format", "json")
+        assert code == 1
+        assert json.loads(out) == [{"counts": {"reports": 3}, "name": "always_fails", "ok": False}]

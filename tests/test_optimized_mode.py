@@ -1,9 +1,12 @@
 """Checks that guard results must still fire under ``python -O``.
 
-``-O`` strips ``assert`` statements, so each check below is forced to fail
-inside an optimized interpreter and must raise its named exception there.
+``-O`` strips ``assert`` statements, so no ``assert`` may appear in the
+package, each check below is forced to fail inside an optimized interpreter
+and must raise its named exception there, and the full audit must pass there.
 """
 
+import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from dendriform import audit
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 PRELUDE = """
 import sys
@@ -59,9 +65,29 @@ print(main(["hilbert", "--generators", "1", "--max-degree", "4", "--method", "gf
 @pytest.mark.parametrize("case", sorted(FORCED_FAILURES))
 def test_check_raises_under_optimize(case):
     body, expected = FORCED_FAILURES[case]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", PRELUDE + body], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-O", "-c", PRELUDE + body], capture_output=True, text=True, env=ENV, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected
+
+
+def test_no_assert_in_package():
+    found = [
+        f"{path.name}:{stmt.lineno}"
+        for path in sorted((SRC / "dendriform").glob("*.py"))
+        for stmt in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(stmt, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_audit_passes_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "dendriform", "audit", "--format", "json"],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert all(r["ok"] for r in results)
+    assert [r["name"] for r in results] == [check.__name__ for check in audit.CHECKS]

@@ -181,3 +181,12 @@ class TestCoefficientDomain:
         p = mono(l_prec(x1, x2), 2) - mono(x1, 3)
         q = mul(p, PREC, -p) + apply_context(Context(node(SUCC, hole(), x3)), p)
         assert all(type(c) is int for _, c in q.terms())
+
+    def test_float_coefficients_are_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            Polynomial(3, [(x1, 0.1)])
+        with pytest.raises(TypeError, match="float"):
+            mono(x1, 0.1)
+        for exact, stored in ((3, 3), (Fraction(2, 3), Fraction(2, 3)), (Fraction(4, 2), 2)):
+            c = mono(x1, exact).coefficient(x1)
+            assert c == stored and type(c) is type(stored)
