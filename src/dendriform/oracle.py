@@ -30,20 +30,8 @@ def _normal_words(m: int, n: int) -> tuple[LWord, ...]:
         lefts = _normal_words(i, n)
         rights = _normal_words(m - i, n)
         words.extend(node(SUCC, u, v) for u in lefts for v in rights)
-        words.extend(node(PREC, u, v) for u in _nonsucc_words(i, n) for v in rights)
+        words.extend(node(PREC, u, v) for u in lefts if u.op is not SUCC for v in rights)
     return tuple(words)
-
-
-@lru_cache(maxsize=None)
-def _nonsucc_words(m: int, n: int) -> tuple[LWord, ...]:
-    if m == 1:
-        return tuple(generator(i) for i in range(1, n + 1))
-    return tuple(
-        node(PREC, u, v)
-        for i in range(1, m)
-        for u in _nonsucc_words(i, n)
-        for v in _normal_words(m - i, n)
-    )
 
 
 class EnumerationIndex:
@@ -74,25 +62,16 @@ def enumerate_dd_words(m: int, n: int) -> tuple[LWord, ...]:
     """All normal DD-words of degree m, descending under the monomial order."""
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
-    return tuple(sorted(_dd_words(m, n), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _dd_words(m: int, n: int) -> tuple[LWord, ...]:
     leaves = tuple(generator(i) for i in range(1, n + 1))
     if m == 1:
-        return leaves
-    words = []
-    tails = _dd_words(m - 1, n)
-    for x in leaves:
-        words.extend(node(PREC, x, w) for w in tails)
-        words.extend(node(SUCC, x, w) for w in tails)
+        return leaves[::-1]
+    tails = enumerate_dd_words(m - 1, n)
+    words = [node(op, x, w) for x in leaves for op in (PREC, SUCC) for w in tails]
     for i in range(1, m - 1):
-        firsts = _dd_words(i, n)
-        seconds = _dd_words(m - 1 - i, n)
-        for x in leaves:
-            words.extend(node(SUCC, node(SUCC, x, w1), w2) for w1 in firsts for w2 in seconds)
-    return tuple(words)
+        firsts = enumerate_dd_words(i, n)
+        seconds = enumerate_dd_words(m - 1 - i, n)
+        words.extend(node(SUCC, node(SUCC, x, w1), w2) for x in leaves for w1 in firsts for w2 in seconds)
+    return tuple(sorted(words, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -109,18 +88,6 @@ def _all_trees(m: int, n: int) -> tuple[LWord, ...]:
 
 
 @lru_cache(maxsize=None)
-def _context_words(h: int, n: int) -> tuple[LWord, ...]:
-    if h == 1:
-        return (hole(),)
-    words = []
-    for i in range(1, h):
-        for op in (PREC, SUCC):
-            words.extend(node(op, c, w) for c in _context_words(i, n) for w in _all_trees(h - i, n))
-            words.extend(node(op, w, c) for w in _all_trees(i, n) for c in _context_words(h - i, n))
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
 def enumerate_contexts(h: int, n: int) -> tuple[Context, ...]:
     """Every single-hole word with h leaves (the hole counts as a leaf).
 
@@ -130,7 +97,14 @@ def enumerate_contexts(h: int, n: int) -> tuple[Context, ...]:
     """
     if h < 1 or n < 1:
         raise ValueError("context degree and alphabet size must be at least 1")
-    return tuple(Context(w) for w in _context_words(h, n))
+    if h == 1:
+        return (Context(hole()),)
+    words = []
+    for i in range(1, h):
+        for op in (PREC, SUCC):
+            words.extend(node(op, c.word, w) for c in enumerate_contexts(i, n) for w in _all_trees(h - i, n))
+            words.extend(node(op, w, c.word) for w in _all_trees(i, n) for c in enumerate_contexts(h - i, n))
+    return tuple(Context(w) for w in words)
 
 
 def _compositions(total: int, parts: int):

@@ -126,9 +126,6 @@ class Polynomial:
     def coefficient(self, word: LWord) -> Coefficient:
         return self._terms.get(word, 0)
 
-    def degrees(self) -> set[int]:
-        return {w.degree for w in self._terms}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

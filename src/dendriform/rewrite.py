@@ -120,41 +120,16 @@ def _collect_redexes(u: LWord, path: tuple[str, ...], out: list[Redex]) -> None:
 
 def first_redex(u: LWord) -> Redex | None:
     """The preorder-first redex of u, or None when u is DD-normal."""
+    return _first_redex(u, ())
+
+
+def _first_redex(u: LWord, path: tuple[str, ...]) -> Redex | None:
     matched = match_rule_at(u)
     if matched is not None:
-        return Redex(matched[0], (), matched[1])
+        return Redex(matched[0], path, matched[1])
     if u.op is None:
         return None
-    r = first_redex(u.left)
-    if r is not None:
-        return Redex(r.rule, ("L",) + r.path, r.bindings)
-    r = first_redex(u.right)
-    if r is not None:
-        return Redex(r.rule, ("R",) + r.path, r.bindings)
-    return None
-
-
-def subterm_at(u: LWord, path: tuple[str, ...]) -> LWord:
-    for step in path:
-        if u.op is None:
-            raise StaleRedexError(f"path {''.join(path)!r} leaves the word")
-        u = u.left if step == "L" else u.right
-    return u
-
-
-def _replace_at(u: LWord, path: tuple[str, ...], w: LWord, i: int) -> LWord:
-    if i == len(path):
-        return w
-    if u.op is None:
-        raise StaleRedexError(f"path {''.join(path)!r} leaves the word")
-    if path[i] == "L":
-        return node(u.op, _replace_at(u.left, path, w, i + 1), u.right)
-    return node(u.op, u.left, _replace_at(u.right, path, w, i + 1))
-
-
-# Every rule coefficient is +-1 and rewriting never divides, so tails and
-# cached normal forms hold plain ints.
-_TAIL_CACHE: dict[tuple[RuleId, tuple[LWord, ...]], tuple[LWord, dict[LWord, int]]] = {}
+    return _first_redex(u.left, path + ("L",)) or _first_redex(u.right, path + ("R",))
 
 
 def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
@@ -163,9 +138,6 @@ def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
     Products are evaluated through the basis products, so every term is a
     single normal word.
     """
-    cached = _TAIL_CACHE.get((rule, bindings))
-    if cached is not None:
-        return cached
     if rule is RuleId.F1:
         x, y, z = bindings
         lead = l_prec(l_prec(x, y), z)
@@ -184,9 +156,7 @@ def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
         tail = {}
         _accumulate(tail, l_succ(l_succ(x, y), l_succ(z, v)), 1)
         _accumulate(tail, l_succ(l_succ(x, l_prec(y, z)), v), -1)
-    result = (lead, tail)
-    _TAIL_CACHE[(rule, bindings)] = result
-    return result
+    return lead, tail
 
 
 def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomial:
@@ -212,14 +182,22 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
 
 
 def _step_terms(u: LWord, redex: Redex) -> dict[LWord, int]:
-    target = subterm_at(u, redex.path)
+    ancestors = []
+    target = u
+    for step in redex.path:
+        if target.op is None:
+            raise StaleRedexError(f"path {''.join(redex.path)!r} leaves the word")
+        ancestors.append(target)
+        target = target.left if step == "L" else target.right
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
         raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {''.join(redex.path)!r}")
     tail = _rule_parts(redex.rule, redex.bindings)[1]
     out: dict[LWord, int] = {}
     for w, c in tail.items():
-        replaced = normalize(_replace_at(u, redex.path, w, 0))
+        for above, step in zip(reversed(ancestors), reversed(redex.path)):
+            w = node(above.op, w, above.right) if step == "L" else node(above.op, above.left, w)
+        replaced = normalize(w)
         if compare(replaced, u) >= 0:
             raise RewriteOrderError(f"{redex.rule.name} step at path {''.join(redex.path)!r} failed to descend from {u}")
         _accumulate(out, replaced, c)
@@ -238,6 +216,8 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     return Polynomial._raw(n, dict(terms))
 
 
+# Every rule coefficient is +-1 and rewriting never divides, so cached
+# normal forms hold plain ints.
 _NF_CACHE: dict[LWord, dict[LWord, int]] = {}
 
 

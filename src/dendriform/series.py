@@ -49,10 +49,6 @@ class SeriesCoefficients:
     n: int
     coeffs: tuple[Fraction, ...]
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs)
-
     def coefficient(self, m: int) -> Fraction:
         if not 1 <= m <= len(self.coeffs):
             raise ValueError(f"coefficient index {m} outside 1..{len(self.coeffs)}")

@@ -1,6 +1,7 @@
-import pytest
-
+import hashlib
 from fractions import Fraction
+
+import pytest
 
 from dendriform.oracle import (
     build_relation_matrix,
@@ -18,6 +19,10 @@ from dendriform.series import dim_closed
 from dendriform.terms import count_normal_lwords, generator, is_normal, l_prec, l_succ
 
 x1 = generator(1)
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestEnumeration:
@@ -59,6 +64,11 @@ class TestDDEnumeration:
             for m in range(1, 7):
                 assert len(enumerate_dd_words(m, n)) == dim_closed(m, n)
 
+    def test_order_is_pinned(self):
+        words = enumerate_dd_words(5, 2)
+        assert len(words) == 1344
+        assert digest(map(str, words)) == "87ddf633e1bfee8b5fed84033a3b5f743b4e61203a09722a479b76dca7d383c4"
+
     def test_dd_words_are_normal_words(self):
         dd = set(enumerate_dd_words(4, 2))
         all_words = set(enumerate_normal_lwords(4, 2).words)
@@ -79,6 +89,18 @@ class TestContexts:
         assert len(enumerate_contexts(3, 1)) == 24
         assert len(enumerate_contexts(2, 3)) == 12
 
+    @pytest.mark.parametrize(
+        "h, n, count, expected",
+        [
+            (4, 1, 160, "540d109c71c101881f72a640646c2bfb85405499289bd6be5c606185d9e748f3"),
+            (3, 2, 96, "0ce4a770ef9d9838ca3306bdf0b7ba67a6c3e8ce2b08a7108d0a459ffef31aa8"),
+        ],
+    )
+    def test_order_is_pinned(self, h, n, count, expected):
+        contexts = enumerate_contexts(h, n)
+        assert len(contexts) == count
+        assert digest(str(c.word) for c in contexts) == expected
+
 
 class TestRelationMatrix:
     def test_degree_three_single_generator(self):
@@ -92,6 +114,24 @@ class TestRelationMatrix:
         for row in matrix.rows:
             assert 0 < len(row) <= 3
             assert all(abs(v) == 1 for v in row.values())
+
+    @pytest.mark.parametrize(
+        "m, n, include_f3, count, expected",
+        [
+            (5, 1, False, 162, "49d0b652fbc12001ed551edc935cfe6c575a08d59d43bbfba5b8df43390dc91c"),
+            (5, 1, True, 174, "cdad2e96c85323d6dbe707c85df8f768600e2ffb16bde230a35e05e7c5273bb4"),
+            (4, 2, False, 320, "01ae76821b5738e0355276b74c74af2367d94b6ee27970fd825cd3dc61796ee9"),
+            (4, 2, True, 336, "da937e4a58f79e5d46739cb5c87a61f68132c0fa906d470ab730aca78a2221fc"),
+            (3, 3, False, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
+            (3, 3, True, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
+        ],
+    )
+    def test_row_order_is_pinned(self, m, n, include_f3, count, expected):
+        # Row order decides the elimination work; a reordered enumeration
+        # would change it without changing any rank.
+        rows = build_relation_matrix(m, n, include_f3).rows
+        assert len(rows) == count
+        assert digest(" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows) == expected
 
     def test_below_degree_three_rejected(self):
         with pytest.raises(ValueError):

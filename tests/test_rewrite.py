@@ -127,11 +127,17 @@ class TestRewriteStep:
     def test_stale_redex(self):
         w = l_prec(l_prec(x1, x2), x3)
         stale = Redex(RuleId.F1, ("L",), (x1, x2, x3))
-        with pytest.raises(StaleRedexError):
+        with pytest.raises(StaleRedexError) as err:
             rewrite_step(w, stale)
+        assert str(err.value) == "no F1 redex with those bindings at path 'L'"
         wrong_bindings = Redex(RuleId.F1, (), (x1, x2, x4))
-        with pytest.raises(StaleRedexError):
+        with pytest.raises(StaleRedexError) as err:
             rewrite_step(w, wrong_bindings)
+        assert str(err.value) == "no F1 redex with those bindings at path ''"
+        off_the_word = Redex(RuleId.F1, ("L", "L", "L"), (x1, x2, x3))
+        with pytest.raises(StaleRedexError) as err:
+            rewrite_step(w, off_the_word)
+        assert str(err.value) == "path 'LLL' leaves the word"
 
     def test_strict_descent_everywhere(self):
         for n in (1, 2):
