@@ -72,6 +72,26 @@ def _report_sort_key(report: CompositionReport):
     )
 
 
+def _judge(kind: str, rules: tuple[RuleId, ...], bound: LWord, composition: Polynomial, paths=()) -> CompositionReport:
+    """Reduce a composition and report it: the residual must vanish and no
+    rewritten word may exceed the bound (nor reach it, for an inclusion)."""
+    max_intermediate = max_reducible_word(composition)
+    residual = normal_form(composition)
+    ceiling = 0 if kind == "inclusion" else 1
+    ok = residual.is_zero and (
+        max_intermediate is None or compare(max_intermediate, bound) < ceiling
+    )
+    return CompositionReport(
+        kind=kind,
+        rules=rules,
+        ambiguity_word=bound,
+        residual=residual,
+        ok=ok,
+        max_intermediate=max_intermediate,
+        paths=paths,
+    )
+
+
 def check_right_mult(rule: RuleId, bindings, v: LWord, *, n: int | None = None) -> CompositionReport:
     """Reduce (rule instance) < v and report the residual.
 
@@ -85,51 +105,30 @@ def check_right_mult(rule: RuleId, bindings, v: LWord, *, n: int | None = None) 
         n = max(1, max_generator_index(v), *(max_generator_index(b) for b in bindings))
     relation = rule_polynomial(rule, bindings, n=n)
     composition = mul(relation, PREC, Polynomial.monomial(v, n=n))
-    bound = leading(composition)[0]
-    max_intermediate = max_reducible_word(composition)
-    residual = normal_form(composition)
-    ok = residual.is_zero and (
-        max_intermediate is None or compare(max_intermediate, bound) <= 0
-    )
-    return CompositionReport(
-        kind="right_mult",
-        rules=(rule,),
-        ambiguity_word=bound,
-        residual=residual,
-        ok=ok,
-        max_intermediate=max_intermediate,
-    )
+    return _judge("right_mult", (rule,), leading(composition)[0], composition)
+
+
+def _right_mult_instances(max_total_degree: int, n: int):
+    """(rule, bindings, right factor) for every right-multiplication
+    composition whose words total at most the given degree."""
+    for rule in RIGHT_MULT_RULES:
+        slots = rule.arity + 1  # bindings plus the right factor
+        for total in range(slots, max_total_degree + 1):
+            for words in binding_tuples(total, slots, n):
+                yield rule, words[:-1], words[-1]
 
 
 def right_mult_sweep(max_total_degree: int, n: int) -> list[CompositionReport]:
     """Every right-multiplication composition with bindings plus right
     factor totalling at most the given degree."""
-    reports = []
-    for rule in RIGHT_MULT_RULES:
-        slots = rule.arity + 1  # bindings plus the right factor
-        for total in range(slots, max_total_degree + 1):
-            for words in binding_tuples(total, slots, n):
-                reports.append(check_right_mult(rule, words[:-1], words[-1], n=n))
+    reports = [check_right_mult(rule, b, v, n=n) for rule, b, v in _right_mult_instances(max_total_degree, n)]
     reports.sort(key=_report_sort_key)
     return reports
 
 
 def _check_pair(w: LWord, r1: Redex, r2: Redex, n: int) -> CompositionReport:
     difference = rewrite_step(w, r1, n=n) - rewrite_step(w, r2, n=n)
-    max_intermediate = max_reducible_word(difference)
-    residual = normal_form(difference)
-    ok = residual.is_zero and (
-        max_intermediate is None or compare(max_intermediate, w) < 0
-    )
-    return CompositionReport(
-        kind="inclusion",
-        rules=(r1.rule, r2.rule),
-        ambiguity_word=w,
-        residual=residual,
-        ok=ok,
-        max_intermediate=max_intermediate,
-        paths=("".join(r1.path), "".join(r2.path)),
-    )
+    return _judge("inclusion", (r1.rule, r2.rule), w, difference, ("".join(r1.path), "".join(r2.path)))
 
 
 def _redex_pairs(words):
@@ -222,9 +221,5 @@ def coverage_audit(max_degree: int, n: int) -> dict[str, int]:
     families: Counter[str] = Counter(
         classify_redex_pair(r1, r2) for _, r1, r2 in _redex_pairs(_normal_words_from_degree_3(max_degree, n))
     )
-    for rule in RIGHT_MULT_RULES:
-        slots = rule.arity + 1
-        count = sum(1 for total in range(slots, max_degree + 1) for _ in binding_tuples(total, slots, n))
-        if count:
-            families[f"right_mult:{rule.name}"] = count
+    families.update(f"right_mult:{rule.name}" for rule, _, _ in _right_mult_instances(max_degree, n))
     return dict(families)

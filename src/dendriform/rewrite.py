@@ -30,8 +30,7 @@ from .terms import (
     l_prec,
     l_succ,
     max_generator_index,
-    node,
-    normalize,
+    normalize,  # noqa: F401  bench/tracing.py rebinds rewrite.normalize
 )
 
 
@@ -132,31 +131,20 @@ def _first_redex(u: LWord, path: tuple[str, ...]) -> Redex | None:
     return _first_redex(u.left, path + ("L",)) or _first_redex(u.right, path + ("R",))
 
 
-def _rule_parts(rule: RuleId, bindings: tuple[LWord, ...]):
-    """Left-side word and oriented right side at concrete normal bindings.
+def _right_side(rule: RuleId, bindings: tuple[LWord, ...]) -> tuple[tuple[LWord, int], ...]:
+    """Oriented right side at concrete normal bindings, as (word, coefficient) pairs.
 
     Products are evaluated through the basis products, so every term is a
-    single normal word.
+    single normal word; the two words always differ.
     """
     if rule is RuleId.F1:
         x, y, z = bindings
-        lead = l_prec(l_prec(x, y), z)
-        tail = {}
-        _accumulate(tail, l_prec(x, l_prec(y, z)), 1)
-        _accumulate(tail, l_prec(x, l_succ(y, z)), 1)
-    elif rule is RuleId.F2:
+        return (l_prec(x, l_prec(y, z)), 1), (l_prec(x, l_succ(y, z)), 1)
+    if rule is RuleId.F2:
         x, y, z = bindings
-        lead = l_succ(l_prec(x, y), z)
-        tail = {}
-        _accumulate(tail, l_succ(x, l_succ(y, z)), 1)
-        _accumulate(tail, l_succ(l_succ(x, y), z), -1)
-    else:
-        x, y, z, v = bindings
-        lead = l_succ(l_succ(l_succ(x, y), z), v)
-        tail = {}
-        _accumulate(tail, l_succ(l_succ(x, y), l_succ(z, v)), 1)
-        _accumulate(tail, l_succ(l_succ(x, l_prec(y, z)), v), -1)
-    return lead, tail
+        return (l_succ(x, l_succ(y, z)), 1), (l_succ(l_succ(x, y), z), -1)
+    x, y, z, v = bindings
+    return (l_succ(l_succ(x, y), l_succ(z, v)), 1), (l_succ(l_succ(x, l_prec(y, z)), v), -1)
 
 
 def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomial:
@@ -172,9 +160,17 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     for b in bindings:
         if not is_normal(b):
             raise ValueError(f"rule bindings must be normal words: {b}")
-    lead, tail = _rule_parts(rule, bindings)
+    if rule is RuleId.F1:
+        x, y, z = bindings
+        lead = l_prec(l_prec(x, y), z)
+    elif rule is RuleId.F2:
+        x, y, z = bindings
+        lead = l_succ(l_prec(x, y), z)
+    else:
+        x, y, z, v = bindings
+        lead = l_succ(l_succ(l_succ(x, y), z), v)
     terms = {lead: 1}
-    for w, c in tail.items():
+    for w, c in _right_side(rule, bindings):
         _accumulate(terms, w, -c)
     if n is None:
         n = max(1, max(max_generator_index(b) for b in bindings))
@@ -192,28 +188,34 @@ def _step_terms(u: LWord, redex: Redex) -> dict[LWord, int]:
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
         raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {''.join(redex.path)!r}")
-    tail = _rule_parts(redex.rule, redex.bindings)[1]
+    # Each right-side word is normal, and so is every sibling off the path
+    # (a subterm of the normal word u).  Normalizing op(a, b) with normal a
+    # and b gives the op-product of a and b, so folding the path back with
+    # the basis products yields the normalized spliced word while visiting
+    # only the path.  The products are injective, so the two words stay
+    # distinct.
     out: dict[LWord, int] = {}
-    for w, c in tail.items():
+    for w, c in _right_side(redex.rule, redex.bindings):
         for above, step in zip(reversed(ancestors), reversed(redex.path)):
-            w = node(above.op, w, above.right) if step == "L" else node(above.op, above.left, w)
-        replaced = normalize(w)
-        if compare(replaced, u) >= 0:
+            product = l_succ if above.op is SUCC else l_prec
+            w = product(w, above.right) if step == "L" else product(above.left, w)
+        if compare(w, u) >= 0:
             raise RewriteOrderError(f"{redex.rule.name} step at path {''.join(redex.path)!r} failed to descend from {u}")
-        _accumulate(out, replaced, c)
+        out[w] = c
     return out
 
 
 def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     """Rewrite one occurrence: u minus the context-embedded rule instance.
 
-    Every word of the result is strictly smaller than u, which is checked
-    per produced term (``RewriteOrderError`` otherwise).
+    u must be a normal word, as every word of a polynomial is.  Every word
+    of the result is strictly smaller than u, which is checked per produced
+    term (``RewriteOrderError`` otherwise).
     """
     terms = _step_terms(u, redex)
     if n is None:
         n = max(1, max_generator_index(u))
-    return Polynomial._raw(n, dict(terms))
+    return Polynomial._raw(n, terms)
 
 
 # Every rule coefficient is +-1 and rewriting never divides, so cached

@@ -2,7 +2,7 @@
 
 The degree-m component has dimension C(m) * n^m with C(m) the m-th Catalan
 number.  This module computes that value by the shape-count convolution
-recursion, by the closed factorial formula (2m)! n^m / ((m+1)! m!), and by
+recursion, by the closed binomial formula binom(2m, m) n^m / (m+1), and by
 expanding the generating function
 
     H(t) = (1 - 2nt - sqrt(1 - 4nt)) / (2nt)
@@ -36,10 +36,10 @@ def f_recursive(m: int) -> int:
 
 
 def dim_closed(m: int, n: int) -> int:
-    """Component dimension in closed form: (2m)! n^m / ((m+1)! m!), exact."""
+    """Component dimension in closed form: binom(2m, m) n^m / (m+1), exact."""
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
-    return math.factorial(2 * m) * n**m // (math.factorial(m + 1) * math.factorial(m))
+    return math.comb(2 * m, m) // (m + 1) * n**m
 
 
 @dataclass(frozen=True)

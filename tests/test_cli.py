@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,11 @@ class TestVerification:
         assert code == 0
         assert "overall: ok" in out
 
+    def test_verify_gsb_text_lists_both_kinds_when_empty(self, capsys):
+        code, out, _ = run(capsys, "verify-gsb", "--generators", "1", "--max-degree", "3")
+        assert code == 0
+        assert out == "inclusion: 0/0 ok\nright_mult: 0/0 ok\noverall: ok\n"
+
     def test_verify_gsb_json_reports(self, capsys):
         code, out, _ = run(
             capsys, "verify-gsb", "--generators", "1", "--max-degree", "4", "--format", "json"
@@ -184,6 +190,43 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _left_comb(degree):
+    word = "x1"
+    for _ in range(degree - 1):
+        word = f"({word} < x1)"
+    return word
+
+
+# SHA-256 of stdout as printed at commit b390d16, where each rewrite step
+# still re-normalized the whole spliced word.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("verify-gsb", "--generators", "1", "--max-degree", "6", "--named-cases", "--format", "json"),
+            "36a1b3a0bff7b08de3fb7b8589c468946c7e1e05bc2a0632bcc108c314afe15a",
+        ),
+        (
+            ("verify-gsb", "--generators", "2", "--max-degree", "5", "--format", "json"),
+            "4a4661cdc00ec4cd75ed6e3daff8e5fc43ca31217ff9a19c87b35c98eb77ecc9",
+        ),
+        (
+            ("reduce", "--format", "json", "((x1 < x2) < x3)", "((x1 > x2) < x3)"),
+            "a158717f77c335cca84433dc43bfa772032a8270eb1f07d5d59330698782466c",
+        ),
+        (
+            ("reduce", "--format", "json", _left_comb(10), _left_comb(11), _left_comb(12)),
+            "63c3414ada022b15fcfe92b85514cbd4203638317bb20f73056cf354251c6925",
+        ),
+    ],
+    ids=["verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs"],
+)
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestAudit:

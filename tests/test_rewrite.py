@@ -6,7 +6,7 @@ from hypothesis import given
 
 from _strategies import polynomials, sample_dd_word
 from dendriform.oracle import enumerate_dd_words, enumerate_normal_lwords
-from dendriform.poly import Polynomial, mul
+from dendriform.poly import Polynomial, apply_context, mul
 from dendriform.rewrite import (
     Redex,
     RuleId,
@@ -18,7 +18,7 @@ from dendriform.rewrite import (
     rewrite_step,
     rule_polynomial,
 )
-from dendriform.terms import PREC, SUCC, compare, generator, l_prec, l_succ, node
+from dendriform.terms import PREC, SUCC, Context, compare, generator, hole, l_prec, l_succ, node
 
 x1, x2, x3, x4 = (generator(i) for i in range(1, 5))
 
@@ -149,6 +149,27 @@ class TestRewriteStep:
                             assert compare(produced, w) == -1
                             assert produced.degree == w.degree
                             assert type(coeff) is int
+
+    def test_step_is_the_spliced_relation(self):
+        # A step subtracts the rule relation spliced into the word and
+        # re-normalized as a whole, as the elimination oracle builds its rows.
+        def hole_at(w, path):
+            if not path:
+                return hole()
+            if path[0] == "L":
+                return node(w.op, hole_at(w.left, path[1:]), w.right)
+            return node(w.op, w.left, hole_at(w.right, path[1:]))
+
+        steps = 0
+        for n, max_degree in ((1, 6), (2, 5)):
+            for m in range(3, max_degree + 1):
+                for w in enumerate_normal_lwords(m, n).words:
+                    for r in find_redexes(w):
+                        relation = rule_polynomial(r.rule, r.bindings, n=n)
+                        spliced = apply_context(Context(hole_at(w, r.path)), relation)
+                        assert rewrite_step(w, r, n=n) == Polynomial.monomial(w, n=n) - spliced
+                        steps += 1
+        assert steps == 5590
 
 
 class TestNormalForm:
