@@ -58,10 +58,14 @@ def criterion_2_seed_dimensions():
 
 
 def criterion_3_oracle_quotient():
-    """Exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant."""
+    """Exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant.
+
+    Degrees 1..7 over one generator and 1..5 over two, with the F3
+    redundancy checked from degree 3 on.
+    """
     ok = True
     counts = {}
-    cases = [(m, 1) for m in range(1, 6)] + [(m, 2) for m in range(1, 5)]
+    cases = [(m, 1) for m in range(1, 8)] + [(m, 2) for m in range(1, 6)]
     for m, n in cases:
         expected = dim_closed(m, n)
         got = counts[f"quotient_dim({m},{n})"] = quotient_dim(m, n)

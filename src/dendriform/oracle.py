@@ -4,8 +4,9 @@ This module recomputes the dimension of each graded component of the
 dendriform quotient without the rewrite engine: it enumerates all normal
 words of a degree, spans the degree piece of the relation ideal by
 instantiating the defining relations inside every single-hole context, and
-subtracts the exact rank of that row space.  Everything is exact rational
-arithmetic; ranks are certainties, not estimates.
+subtracts the exact rank of that row space.  Everything is exact:
+elimination runs on ints and divides, with Fraction, only at a pivot whose
+leading entry is not 1 or -1, so ranks are certainties, not estimates.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class RelationMatrix:
         self._pivots = None
 
     @property
-    def pivots(self) -> dict[int, dict[int, Fraction]]:
+    def pivots(self) -> dict[int, dict[int, Coefficient]]:
         if self._pivots is None:
             self._pivots = row_echelon(self.rows)
         return self._pivots
@@ -187,21 +188,29 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
     return RelationMatrix(m, n, include_f3, index, tuple(rows))
 
 
-def row_echelon(rows) -> dict[int, dict[int, Fraction]]:
+def row_echelon(rows) -> dict[int, dict[int, Coefficient]]:
     """Sparse Gaussian elimination; pivot rows keyed by leading column.
 
     Columns follow the descending word index, so the leading column of a
-    row is its greatest monomial.  Pivot rows are scaled to a unit leading
-    coefficient, so their entries are Fractions even for integer rows.
-    Exact, deterministic, no pivoting heuristics.
+    row is its greatest monomial.  Pivot rows have a unit leading
+    coefficient.  A reduced row whose lead is 1 or -1 is stored as it is or
+    negated, so integer rows with such leads stay on ints; any other lead
+    is divided out exactly with Fraction.  Exact, deterministic, no
+    pivoting heuristics.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, Coefficient]] = {}
     for row in rows:
         r = reduce_vector(row, pivots)
         if r:
             lead = min(r)
-            inv = Fraction(1, r[lead])
-            pivots[lead] = {c: v * inv for c, v in r.items()}
+            a = r[lead]
+            if a == 1:
+                pivots[lead] = r
+            elif a == -1:
+                pivots[lead] = {c: -v for c, v in r.items()}
+            else:
+                inv = Fraction(1, a)
+                pivots[lead] = {c: v * inv for c, v in r.items()}
     return pivots
 
 

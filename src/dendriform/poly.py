@@ -26,7 +26,7 @@ from .terms import (
     l_succ,
     max_generator_index,
     normalize,
-    substitute,
+    substitute,  # noqa: F401  bench/tracing.py rebinds poly.substitute
 )
 
 
@@ -214,10 +214,29 @@ def leading(p: Polynomial) -> tuple[LWord, Coefficient]:
 
 
 def apply_context(c: Context, p: Polynomial) -> Polynomial:
-    """Substitute every word of p into the hole of c and re-normalize."""
-    if max_generator_index(c.word) > p.n:
-        raise AlphabetMismatchError(f"context {c.word} uses generators beyond x{p.n}")
+    """Substitute every word of p into the hole of c and re-normalize.
+
+    The context may be any tree.  Normalizing op(a, b) gives the op-product
+    of the normalized a and b, and the words of p are already normal, so
+    each word is folded up the hole path with the basis products against
+    the normalized siblings off the path; nothing else is rebuilt.
+    """
+    w = c.word
+    if max_generator_index(w) > p.n:
+        raise AlphabetMismatchError(f"context {w} uses generators beyond x{p.n}")
+    path = []
+    while w.op is not None:
+        product = l_prec if w.op is PREC else l_succ
+        if count_holes(w.left):
+            path.append((product, True, normalize(w.right)))
+            w = w.left
+        else:
+            path.append((product, False, normalize(w.left)))
+            w = w.right
+    path.reverse()
     acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
-        _accumulate(acc, normalize(substitute(c, u)), a)
+        for product, hole_left, sibling in path:
+            u = product(u, sibling) if hole_left else product(sibling, u)
+        _accumulate(acc, u, a)
     return Polynomial._raw(p.n, acc)

@@ -1,4 +1,4 @@
-"""Shared generators for property tests and seeded sampling helpers."""
+"""Shared generators for property tests, seeded sampling and reference helpers."""
 
 import random
 
@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
-from dendriform.terms import PREC, SUCC, generator, node, normalize
+from dendriform.terms import PREC, SUCC, generator, node, normalize, substitute
 
 
 def tree_words(n=2, max_leaves=6):
@@ -34,3 +34,12 @@ def sample_dd_word(rng: random.Random, max_degree: int, n: int):
     m = rng.randint(1, max_degree)
     words = enumerate_dd_words(m, n)
     return words[rng.randrange(len(words))]
+
+
+def spliced(c, p):
+    """Sum of a * normalize(substitute(c, u)) over the terms a*u of p.
+
+    The reference for ``apply_context``: every whole spliced word is
+    re-normalized, with no use of the basis products' fold.
+    """
+    return Polynomial(p.n, [(normalize(substitute(c, u)), a) for u, a in p.terms()])

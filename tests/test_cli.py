@@ -220,8 +220,18 @@ def _left_comb(degree):
             ("reduce", "--format", "json", _left_comb(10), _left_comb(11), _left_comb(12)),
             "63c3414ada022b15fcfe92b85514cbd4203638317bb20f73056cf354251c6925",
         ),
+        # Recorded at commit 8b1f618, where elimination scaled every pivot
+        # by Fraction(1, lead) and each context splice was re-normalized whole.
+        (
+            ("oracle-dim", "--generators", "1", "--degree", "5", "--format", "json"),
+            "98e8c2a9f0f8c54c65392259cd128416e99f9f3cfc063664e581f932aacc6b50",
+        ),
+        (
+            ("oracle-dim", "--generators", "2", "--degree", "4", "--include-f3", "--format", "json"),
+            "47d0edcf11a12af99f6294ab7225b7cf7c2d6e30d547a26e9becc689d68823af",
+        ),
     ],
-    ids=["verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs"],
+    ids=["verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3"],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

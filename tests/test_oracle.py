@@ -138,12 +138,61 @@ class TestRelationMatrix:
             build_relation_matrix(2, 1)
 
     def test_integer_rows_give_exact_unit_pivots(self):
+        # Exact, never float: a non-unit lead is divided out with Fraction.
         rows = ({0: 2, 1: 3, 2: 1}, {1: -1, 2: 4}, {0: 4, 1: 5, 2: 6}, {2: 7})
         pivots = row_echelon(rows)
         assert sorted(pivots) == [0, 1, 2]
         assert all(piv[lead] == 1 for lead, piv in pivots.items())
-        assert all(type(v) is Fraction for piv in pivots.values() for v in piv.values())
+        assert all(type(v) in (int, Fraction) for piv in pivots.values() for v in piv.values())
         assert pivots[0] == {0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}
+
+    def test_unit_leads_keep_integer_pivots(self):
+        # Leads of 1 and -1 are stored as they are or negated, never divided.
+        rows = ({0: 1, 1: -1, 2: 1}, {0: -1, 2: 1}, {1: 1, 2: -1})
+        pivots = row_echelon(rows)
+        assert pivots == {0: {0: 1, 1: -1, 2: 1}, 1: {1: 1, 2: -2}, 2: {2: 1}}
+        assert all(type(v) is int for piv in pivots.values() for v in piv.values())
+
+    def test_row_space_accepts_fraction_coordinates(self):
+        matrix = build_relation_matrix(4, 1)
+        first, second = matrix.rows[0], matrix.rows[1]
+        vec = {c: Fraction(2, 3) * first.get(c, 0) + Fraction(1, 5) * second.get(c, 0) for c in {*first, *second}}
+        assert any(type(v) is Fraction for v in vec.values())
+        assert vector_in_row_space(matrix, vec)
+        dd = enumerate_dd_words(4, 1)[0]
+        assert not vector_in_row_space(matrix, {matrix.index.position[dd]: Fraction(1, 2)})
+
+    # Digests of the sorted pivot columns and of the pivot rows as printed
+    # at commit 8b1f618, where every pivot row was scaled by Fraction(1, lead).
+    @pytest.mark.parametrize(
+        "m, n, include_f3, rank, columns, pivot_rows",
+        [
+            (
+                5, 1, False, 101,
+                "d2c3949d489913a5943103ea02b409793bec545c57830c1814133ac4e0123284",
+                "8ff16afcc8e5125f2880001b636941f4d8000ab91600c82d15345e197fb742ad",
+            ),
+            (
+                4, 2, False, 256,
+                "42a77d56aa0b8be566556d186793e3ffbe5845a437b1085db6cd8852c8bf3536",
+                "3401ebb2f4f614552c96cccdd6cc491381b2421d59ee9d3ca60bfb4fa9c79eb3",
+            ),
+            (
+                4, 1, True, 16,
+                "467fc67e255bdfaf4c7c177e4df57ece90b367e4baa3c742f2dcabdf0c7877a1",
+                "c899fadc8d9f2631036064b3de660aae2fffce1888799e2a1125e55d48de234f",
+            ),
+        ],
+        ids=["5-1", "4-2", "4-1-f3"],
+    )
+    def test_pivots_are_pinned(self, m, n, include_f3, rank, columns, pivot_rows):
+        pivots = build_relation_matrix(m, n, include_f3).pivots
+        leads = sorted(pivots)
+        assert len(leads) == rank
+        assert digest(map(str, leads)) == columns
+        assert digest(" ".join(f"{c}:{a}" for c, a in sorted(pivots[k].items())) for k in leads) == pivot_rows
+        # Every relation pivot has a unit lead, so elimination never divides.
+        assert all(type(v) is int and abs(v) == 1 for piv in pivots.values() for v in piv.values())
 
 
 class TestQuotientDimension:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from _strategies import normal_words, polynomials
+from _strategies import normal_words, polynomials, spliced
+from dendriform.oracle import enumerate_contexts
 from dendriform.poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
+from dendriform.rewrite import RuleId, rule_polynomial
 from dendriform.terms import (
     PREC,
     SUCC,
@@ -123,6 +125,22 @@ class TestApplyContext:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             apply_context(Context(node(PREC, hole(), x3)), mono(x1, n=1))
+
+    def test_fold_equals_splice_and_normalize(self):
+        # Every arbitrary context with four leaves over two generators, on
+        # rule relations whose bindings carry both top operations.
+        y1, y2 = l_succ(x2, x1), l_prec(x1, x2)
+        relations = [
+            rule_polynomial(RuleId.F1, (x1, x2, x1), n=2),
+            rule_polynomial(RuleId.F2, (y1, x1, y2), n=2),
+            rule_polynomial(RuleId.F3, (x2, y1, x1, y2), n=2) * Fraction(-3, 2),
+            rule_polynomial(RuleId.F1, (y1, y2, y1), n=2) + rule_polynomial(RuleId.F2, (y2, y1, y2), n=2),
+        ]
+        contexts = enumerate_contexts(4, 2)
+        assert len(contexts) == 1280
+        for c in contexts:
+            for p in relations:
+                assert apply_context(c, p) == spliced(c, p)
 
     @given(polynomials(n=2, max_degree=4))
     def test_leading_commutes_with_contexts(self, p):

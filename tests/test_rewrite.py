@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from _strategies import polynomials, sample_dd_word
+from _strategies import polynomials, sample_dd_word, spliced
 from dendriform.oracle import enumerate_dd_words, enumerate_normal_lwords
-from dendriform.poly import Polynomial, apply_context, mul
+from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
     Redex,
     RuleId,
@@ -152,7 +152,8 @@ class TestRewriteStep:
 
     def test_step_is_the_spliced_relation(self):
         # A step subtracts the rule relation spliced into the word and
-        # re-normalized as a whole, as the elimination oracle builds its rows.
+        # re-normalized as a whole; the reference does not use the fold that
+        # both rewrite steps and apply_context share.
         def hole_at(w, path):
             if not path:
                 return hole()
@@ -166,8 +167,8 @@ class TestRewriteStep:
                 for w in enumerate_normal_lwords(m, n).words:
                     for r in find_redexes(w):
                         relation = rule_polynomial(r.rule, r.bindings, n=n)
-                        spliced = apply_context(Context(hole_at(w, r.path)), relation)
-                        assert rewrite_step(w, r, n=n) == Polynomial.monomial(w, n=n) - spliced
+                        reference = spliced(Context(hole_at(w, r.path)), relation)
+                        assert rewrite_step(w, r, n=n) == Polynomial.monomial(w, n=n) - reference
                         steps += 1
         assert steps == 5590
 
