@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Coefficient, Polynomial, apply_context
+from .poly import Coefficient, Polynomial, fold_hole_path, hole_path
+from .poly import apply_context  # noqa: F401  bench/tracing.py rebinds oracle.apply_context
 from .rewrite import RuleId, rule_polynomial
 from .terms import PREC, SUCC, Context, LWord, generator, hole, node
 
@@ -179,11 +180,11 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
     for rule in rules:
         arity = rule.arity
         for inst_degree in range(arity, m + 1):
-            contexts = enumerate_contexts(m - inst_degree + 1, n)
+            paths = [hole_path(c, n) for c in enumerate_contexts(m - inst_degree + 1, n)]
             for bindings in binding_tuples(inst_degree, arity, n):
                 relation = rule_polynomial(rule, bindings, n=n)
-                for c in contexts:
-                    embedded = apply_context(c, relation)
+                for path in paths:
+                    embedded = fold_hole_path(path, relation)
                     rows.append({index.position[w]: a for w, a in embedded._terms.items()})
     return RelationMatrix(m, n, include_f3, index, tuple(rows))
 

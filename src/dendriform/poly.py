@@ -12,7 +12,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .terms import (
     PREC,
@@ -221,9 +221,22 @@ def apply_context(c: Context, p: Polynomial) -> Polynomial:
     each word is folded up the hole path with the basis products against
     the normalized siblings off the path; nothing else is rebuilt.
     """
+    return fold_hole_path(hole_path(c, p.n), p)
+
+
+HolePath = tuple[tuple[Callable[[LWord, LWord], LWord], bool, LWord], ...]
+
+
+def hole_path(c: Context, n: int) -> HolePath:
+    """The steps from the hole of c up to its root, for fold_hole_path.
+
+    Each step is (basis product, whether the hole side is the left operand,
+    normalized sibling).  A path depends on the context alone, so a caller
+    that substitutes many polynomials into one context walks it once.
+    """
     w = c.word
-    if max_generator_index(w) > p.n:
-        raise AlphabetMismatchError(f"context {w} uses generators beyond x{p.n}")
+    if max_generator_index(w) > n:
+        raise AlphabetMismatchError(f"context {w} uses generators beyond x{n}")
     path = []
     while w.op is not None:
         product = l_prec if w.op is PREC else l_succ
@@ -233,7 +246,11 @@ def apply_context(c: Context, p: Polynomial) -> Polynomial:
         else:
             path.append((product, False, normalize(w.left)))
             w = w.right
-    path.reverse()
+    return tuple(reversed(path))
+
+
+def fold_hole_path(path: HolePath, p: Polynomial) -> Polynomial:
+    """p substituted into the context whose hole_path is path, normalized."""
     acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
         for product, hole_left, sibling in path:

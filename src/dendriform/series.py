@@ -11,16 +11,26 @@ with exact rational coefficients.  It also produces the series of the three
 basis families whose functional equations determine H, and the growth
 statistic log dim / log degree whose divergence shows the algebra has no
 finite polynomial growth rate.
+
+The growth statistic never builds the degree-d dimension.  It encloses
+ln dim between two decimals from the Stirling series of ln Gamma, whose
+remainder for a real positive argument is bounded in magnitude by the first
+neglected term (DLMF 5.11(ii)), together with a proved bound on every
+rounding, and accepts the enclosure only once both ends round to the same
+40 digits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 _GK_PRECISION = 40
+_GK_GUARD_DIGITS = 10  # working digits beyond _GK_PRECISION on the first try
 
 _shape_counts = [1]  # convolution recursion values, index by degree
 
@@ -30,8 +40,7 @@ def f_recursive(m: int) -> int:
     if m < 0:
         raise ValueError("degree must be nonnegative")
     while len(_shape_counts) <= m:
-        k = len(_shape_counts)
-        _shape_counts.append(sum(_shape_counts[i] * _shape_counts[k - 1 - i] for i in range(k)))
+        _shape_counts.append(sum(map(operator.mul, _shape_counts, reversed(_shape_counts))))
     return _shape_counts[m]
 
 
@@ -189,13 +198,119 @@ class GKStatistic:
 def gk_statistic(d: int, n: int) -> GKStatistic:
     """Growth statistic at degree d; unbounded in d for every n.
 
-    Both logarithms are taken of exact integers under a fixed-precision
-    decimal context, so comparisons against fixed bounds are reliable.
+    ln dim is the correctly rounded 40-digit value of ln(Catalan(d) n^d),
+    taken from a certified enclosure (see _ln_dim_enclosure) instead of the
+    integer itself, and divided by ln d in a 40-digit half-even context.
+    Both run in decimal contexts of their own, so the result does not
+    depend on the caller's context, and comparisons against fixed bounds
+    are reliable.
     """
     if d < 2:
         raise ValueError("the growth statistic needs degree at least 2")
-    dim = dim_closed(d, n)
-    with localcontext() as ctx:
-        ctx.prec = _GK_PRECISION
-        value = Decimal(dim).ln() / Decimal(d).ln()
-    return GKStatistic(degree=d, value=value)
+    ctx = Context(prec=_GK_PRECISION, rounding=ROUND_HALF_EVEN, traps=[])
+    guard = _GK_GUARD_DIGITS
+    while True:
+        lo, hi = _ln_dim_enclosure(d, n, _GK_PRECISION + guard)
+        ln_dim = ctx.plus(lo)
+        # ln of an integer > 1 is transcendental, so it is never a rounding
+        # midpoint and enough guard digits always decide the rounding.
+        if ln_dim == ctx.plus(hi):
+            break
+        guard += 10
+    return GKStatistic(degree=d, value=ctx.divide(ln_dim, ctx.ln(d)))
+
+
+def _ln_dim_enclosure(d: int, n: int, prec: int) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= ln(Catalan(d) n^d) <= hi from prec-digit arithmetic, prec >= 20.
+
+    ln dim = lnGamma(2d+1) - 2 lnGamma(d+1) - ln(d+1) + d ln n.  Each
+    lnGamma(x) is taken at X = max(x, prec) as lnGamma(x + s) - ln(x(x+1)..
+    (x+s-1)), the product an exact integer, and at X by Stirling's series
+
+        (X - 1/2) ln X - X + ln(2 pi)/2 + sum_{k<K} B_2k / (2k(2k-1) X^(2k-1)),
+
+    whose sum is exact in Fractions and cut at the first term of magnitude
+    at most 10^-prec.  For real X > 0 that term bounds the remainder (DLMF
+    5.11(ii)); with X >= prec the terms fall below 10^-prec long before
+    they start to grow (k near pi X, where they are near e^(-2 pi X)).
+
+    The error of the sum of the seven decimal terms below is at most
+
+        55 M 10^-prec + 2 prec 10^-prec + 3 10^-prec,    M = sum |term|.
+
+    With u = 5 * 10^-prec, every operation, ln included, is correctly
+    rounded with relative error at most u; rounding 2 pi moves its ln by
+    at most 1.0001 u < u ln(2 pi).  Each term takes at most three
+    operations on exact inputs, so its relative error is at most
+    gamma_3 = 3u / (1 - 3u) and its absolute error at most 4u |term|.
+    Summing seven terms adds at most gamma_6 M <= 7u M (Higham, Accuracy
+    and Stability of Numerical Algorithms, Lemma 3.1 and (4.4)): 11u M in
+    all.  _pi(prec) is within 10 prec 10^-prec of pi, so ln(2 pi)/2 moves by
+    at most 2 prec 10^-prec.  The three cut series, once at X1 and twice at
+    X2, leave at most 3 10^-prec.  The ends are rounded outward.
+    """
+    x1 = max(2 * d + 1, prec)
+    x2 = max(d + 1, prec)
+    shift1 = math.prod(range(2 * d + 1, x1))
+    shift2 = math.prod(range(d + 1, x2))
+    tol = Fraction(1, 10**prec)
+    exact = 2 * x2 - x1 + _stirling_sum(x1, tol) - 2 * _stirling_sum(x2, tol)
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN, traps=[])):
+        terms = (
+            (x1 - Decimal("0.5")) * Decimal(x1).ln(),
+            -(2 * x2 - 1) * Decimal(x2).ln(),
+            Decimal(exact.numerator) / exact.denominator,
+            -(2 * _pi(prec)).ln() / 2,
+            Decimal(shift2 * shift2).ln(),
+            -Decimal(shift1 * (d + 1)).ln(),
+            d * Decimal(n).ln(),
+        )
+        total = sum(terms)
+    bound = 55 * sum(int(t.copy_abs()) + 1 for t in terms) + 2 * prec + 3
+    err = Decimal(f"{bound}E-{prec}")
+    lo = Context(prec=prec, rounding=ROUND_FLOOR, traps=[]).subtract(total, err)
+    hi = Context(prec=prec, rounding=ROUND_CEILING, traps=[]).add(total, err)
+    return lo, hi
+
+
+def _stirling_sum(x: int, tol: Fraction) -> Fraction:
+    """sum_{k<K} B_2k / (2k(2k-1) x^(2k-1)), K the first k whose term is at most tol."""
+    total = Fraction(0)
+    k = 1
+    while True:
+        term = _bernoulli(2 * k) / (2 * k * (2 * k - 1) * x ** (2 * k - 1))
+        if abs(term) <= tol:
+            return total
+        total += term
+        k += 1
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """B_m (B_1 = -1/2) from sum_{j<=m} binom(m+1, j) B_j = 0, exact."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
+
+
+@lru_cache(maxsize=None)
+def _pi(prec: int) -> Decimal:
+    """pi to prec digits by the series of the decimal module's documentation.
+
+    pi = 3 + sum_k t_k with t_k / t_(k-1) = (2k-1)^2 / (8k(2k+1)) < 1/4.
+    With u = 5 * 10^-prec: the 2k roundings in t_k leave at most 4u over
+    all terms; each addition to the partial sum, which stays in [3, 10),
+    errs by at most u, and the loop stops once a term no longer changes the
+    sum, within 1.7 prec + 1 steps; the terms left out sum to under u.  So
+    the result is within (1.7 prec + 6) u <= 10 prec 10^-prec of pi for
+    prec >= 20.
+    """
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN, traps=[])):
+        lasts, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return s

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestTables:
         assert [row["degree"] for row in payload] == [100, 1000]
         assert float(payload[0]["value"]) > 5
 
+    def test_gk_at_one_billion(self, capsys):
+        code, out, _ = run(
+            capsys, "gk", "--generators", "3", "--degrees", "1000000000", "--format", "json"
+        )
+        assert code == 0
+        [row] = json.loads(out)
+        d = row["degree"]
+        ln_dim = math.lgamma(2 * d + 1) - math.lgamma(d + 2) - math.lgamma(d + 1) + d * math.log(3)
+        assert abs(float(row["value"]) - ln_dim / math.log(d)) <= 1e-9 * (ln_dim / math.log(d))
+
     def test_gk_rejects_degree_below_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "gk", "--generators", "1", "--degrees", "1,10")
@@ -230,8 +241,32 @@ def _left_comb(degree):
             ("oracle-dim", "--generators", "2", "--degree", "4", "--include-f3", "--format", "json"),
             "47d0edcf11a12af99f6294ab7225b7cf7c2d6e30d547a26e9becc689d68823af",
         ),
+        # Recorded at commit 1f937d1, where gk took ln of the exact dimension.
+        (
+            ("gk", "--generators", "3", "--degrees", "2,10,1000,100000"),
+            "cfa0b28eab76eebbcd9d44776cae86f5951af2f14861542ad90b28a6f384d680",
+        ),
+        (
+            ("gk", "--generators", "3", "--degrees", "2,10,1000,100000", "--format", "json"),
+            "1d1dc00e864aea0bb0a186a98fd32def069c09b922c80d38680c3fd1e3512574",
+        ),
+        (
+            ("gk", "--generators", "1", "--degrees", "100,1000,10000"),
+            "6eb750034b950e73247b6aa46b465884cf85167706258e0d2a5cb862ab733d07",
+        ),
+        (
+            ("gk", "--generators", "1", "--degrees", "100,1000,10000", "--format", "json"),
+            "98dbfac6fed7e20b95ed63459720940e9029744d98eaff8158496abc1632e6c2",
+        ),
+        (
+            ("hilbert", "--generators", "3", "--max-degree", "200"),
+            "56d9543b371136269bc038699f2a8f04a7f01bf3c5fe9268b80d8a3399af6433",
+        ),
     ],
-    ids=["verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3"],
+    ids=[
+        "verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3",
+        "gk-3-text", "gk-3-json", "gk-readme-text", "gk-readme-json", "hilbert-3-200",
+    ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

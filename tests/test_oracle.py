@@ -13,8 +13,8 @@ from dendriform.oracle import (
     row_echelon,
     vector_in_row_space,
 )
-from dendriform.poly import Polynomial
-from dendriform.rewrite import is_dd_normal, normal_form
+from dendriform.poly import Polynomial, hole_path
+from dendriform.rewrite import RuleId, is_dd_normal, normal_form
 from dendriform.series import dim_closed
 from dendriform.terms import count_normal_lwords, generator, is_normal, l_prec, l_succ
 
@@ -132,6 +132,22 @@ class TestRelationMatrix:
         rows = build_relation_matrix(m, n, include_f3).rows
         assert len(rows) == count
         assert digest(" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows) == expected
+
+    def test_each_context_is_walked_once_per_instance_degree(self, monkeypatch):
+        from dendriform import oracle
+
+        walks = []
+
+        def counting(c, n):
+            walks.append(c)
+            return hole_path(c, n)
+
+        monkeypatch.setattr(oracle, "hole_path", counting)
+        matrix = build_relation_matrix(5, 1, include_f3=True)
+        expected = sum(
+            len(enumerate_contexts(5 - d + 1, 1)) for rule in RuleId for d in range(rule.arity, 6)
+        )
+        assert len(walks) == expected < len(matrix.rows)
 
     def test_below_degree_three_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import math
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
 
+from dendriform import series
 from dendriform.series import (
     abc_series,
     dim_closed,
@@ -153,3 +154,43 @@ class TestGrowthStatistic:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             gk_statistic(1, 1)
+
+
+def exact_route(d, n):
+    """log dim / log degree from the exact dimension, 40 digits, half-even."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(dim_closed(d, n)).ln() / Decimal(d).ln()
+
+
+class TestGrowthEnclosure:
+    """gk_statistic encloses ln dim without building dim; the exact route is the reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_exact_route(self, n):
+        for d in list(range(2, 401)) + [10**3, 10**4]:
+            assert str(gk_statistic(d, n).value) == str(exact_route(d, n)), (d, n)
+
+    def test_guard_digit_retry_keeps_the_strings(self, monkeypatch):
+        degrees = [2, 3, 10, 57, 400, 10**3]
+        expected = [str(gk_statistic(d, 3).value) for d in degrees]
+        precisions = []
+        enclosure = series._ln_dim_enclosure
+
+        def recording(d, n, prec):
+            precisions.append(prec)
+            return enclosure(d, n, prec)
+
+        monkeypatch.setattr(series, "_GK_GUARD_DIGITS", 0)
+        monkeypatch.setattr(series, "_ln_dim_enclosure", recording)
+        assert [str(gk_statistic(d, 3).value) for d in degrees] == expected
+        assert len(precisions) > len(degrees)  # 40 digits never decide; a retry ran
+        assert min(precisions) == 40
+
+    def test_independent_of_the_ambient_context(self):
+        expected = [str(gk_statistic(d, 2).value) for d in range(2, 300)]
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_FLOOR
+            ctx.prec = 6
+            ctx.traps[Inexact] = True
+            assert [str(gk_statistic(d, 2).value) for d in range(2, 300)] == expected
