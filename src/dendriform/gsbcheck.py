@@ -141,8 +141,9 @@ def _redex_pairs(words):
 
 
 def _normal_words_from_degree_3(max_degree: int, n: int):
+    # Ascending, so the reports of a sweep come out in presorted runs.
     for m in range(3, max_degree + 1):
-        yield from enumerate_normal_lwords(m, n).words
+        yield from reversed(enumerate_normal_lwords(m, n).words)
 
 
 def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:

@@ -9,7 +9,10 @@ under the monomial order:
 
 A normal word containing no occurrence of a left-side shape is a normal
 DD-word; those words form a basis of the free dendriform algebra, and
-``normal_form`` rewrites any polynomial onto it.  Every rewrite step
+``normal_form`` rewrites any polynomial onto it.  Whether a word is a
+DD-word is the ``dd`` flag every word carries from the terms module, so the
+redex searches below skip every subterm already on the basis and the first
+redex is found by walking down a single path.  Every rewrite step
 replaces one word by a combination of strictly smaller words (checked at
 each step), so reduction terminates; confluence is verified exhaustively
 at bounded degree by the companion basis-check module.
@@ -44,27 +47,14 @@ class RuleId(Enum):
         return 4 if self is RuleId.F3 else 3
 
 
-# A rewrite target never lies on the dendriform basis and vice versa;
-# ``is_dd_normal`` is the redex-free predicate in closed form.
 def is_dd_normal(u: LWord) -> bool:
     """Whether a normal word already lies on the dendriform basis.
 
     Basis words are: a generator; x < w or x > w with x a generator; or
-    (x > w1) > w2 with x a generator and w1, w2 basis words.
+    (x > w1) > w2 with x a generator and w1, w2 basis words.  Every word
+    carries this as its ``dd`` flag, set when it is built.
     """
-    if u.op is None:
-        return True
-    if u.op is PREC:
-        return u.left.op is None and is_dd_normal(u.right)
-    if u.left.op is None:
-        return is_dd_normal(u.right)
-    left = u.left
-    return (
-        left.op is SUCC
-        and left.left.op is None
-        and is_dd_normal(left.right)
-        and is_dd_normal(u.right)
-    )
+    return u.dd
 
 
 @dataclass(frozen=True)
@@ -102,33 +92,44 @@ def match_rule_at(u: LWord):
 
 
 def find_redexes(u: LWord) -> list[Redex]:
-    """All redexes of a normal word, in preorder (root, then left, then right)."""
+    """All redexes of a normal word, in preorder (root, then left, then right).
+
+    A subterm on the basis carries no redex, so the walk skips it.
+    """
     out: list[Redex] = []
-    _collect_redexes(u, (), out)
+    stack = [(u, ())]
+    while stack:
+        u, path = stack.pop()
+        if u.dd:
+            continue
+        matched = match_rule_at(u)
+        if matched is not None:
+            out.append(Redex(matched[0], path, matched[1]))
+        stack.append((u.right, path + ("R",)))
+        stack.append((u.left, path + ("L",)))
     return out
 
 
-def _collect_redexes(u: LWord, path: tuple[str, ...], out: list[Redex]) -> None:
-    matched = match_rule_at(u)
-    if matched is not None:
-        out.append(Redex(matched[0], path, matched[1]))
-    if u.op is not None:
-        _collect_redexes(u.left, path + ("L",), out)
-        _collect_redexes(u.right, path + ("R",), out)
-
-
 def first_redex(u: LWord) -> Redex | None:
-    """The preorder-first redex of u, or None when u is DD-normal."""
-    return _first_redex(u, ())
+    """The preorder-first redex of u, or None when u is DD-normal.
 
-
-def _first_redex(u: LWord, path: tuple[str, ...]) -> Redex | None:
-    matched = match_rule_at(u)
-    if matched is not None:
-        return Redex(matched[0], path, matched[1])
-    if u.op is None:
-        return None
-    return _first_redex(u.left, path + ("L",)) or _first_redex(u.right, path + ("R",))
+    u must be a normal word.  A normal word off the basis carries a redex,
+    so the walk goes down one path: it stops at a matching subterm and
+    otherwise enters the left child when that is off the basis, else the
+    right child.
+    """
+    path: list[str] = []
+    while not u.dd:
+        matched = match_rule_at(u)
+        if matched is not None:
+            return Redex(matched[0], tuple(path), matched[1])
+        if u.left.dd:
+            u = u.right
+            path.append("R")
+        else:
+            u = u.left
+            path.append("L")
+    return None
 
 
 def _right_side(rule: RuleId, bindings: tuple[LWord, ...]) -> tuple[tuple[LWord, int], ...]:
@@ -265,6 +266,6 @@ def max_reducible_word(p: Polynomial) -> LWord | None:
     """
     best = None
     for w in p._terms:
-        if first_redex(w) is not None and (best is None or compare(w, best) > 0):
+        if not w.dd and (best is None or compare(w, best) > 0):
             best = w
     return best

@@ -7,6 +7,11 @@ which the left factor of a ``<`` node is never itself ``>``-topped.  This
 module provides the word type, the basis products, the monomial order used
 by the rewrite engine, hole contexts, and plain-text parsing/formatting.
 
+Every word also carries a ``dd`` flag, set in O(1) when the word is interned
+from its children's flags: whether it lies on the dendriform basis, that is
+(for a normal word) whether no subterm matches a rewrite rule's left side.
+The rules themselves live in the rewrite module, which reads the flag.
+
 The expression grammar is::
 
     word      := generator | "(" word op word ")"
@@ -61,16 +66,22 @@ class LWord:
     degree decides first, composite words of equal degree compare by top
     operation (PREC above SUCC) and then by left and right subterm, and
     generators compare by index.
+
+    ``dd`` is the dendriform-basis flag: a leaf is on the basis; x < w and
+    x > w with x a leaf are when w is; any other word is only when it is
+    (x > w1) > w2 with x a leaf and w1, w2 on the basis.  No word with the
+    flag set carries a redex, and a normal word without it carries one.
     """
 
-    __slots__ = ("op", "left", "right", "index", "degree")
+    __slots__ = ("op", "left", "right", "index", "degree", "dd")
 
-    def __init__(self, op, left, right, index, degree):
+    def __init__(self, op, left, right, index, degree, dd):
         self.op = op
         self.left = left
         self.right = right
         self.index = index
         self.degree = degree
+        self.dd = dd
 
     def __lt__(self, other: "LWord") -> bool:
         return compare(self, other) < 0
@@ -111,7 +122,7 @@ _NODE_CACHE: dict[tuple[Op, LWord, LWord], LWord] = {}
 def _leaf(index: int) -> LWord:
     w = _LEAF_CACHE.get(index)
     if w is None:
-        w = LWord(None, None, None, index, 1)
+        w = LWord(None, None, None, index, 1, True)
         _LEAF_CACHE[index] = w
     return w
 
@@ -133,7 +144,11 @@ def node(op: Op, left: LWord, right: LWord) -> LWord:
     key = (op, left, right)
     w = _NODE_CACHE.get(key)
     if w is None:
-        w = LWord(op, left, right, None, left.degree + right.degree)
+        # With left = x > w1 and x a leaf, left.dd is w1's flag.
+        dd = right.dd and (
+            left.op is None or (op is SUCC and left.op is SUCC and left.left.op is None and left.dd)
+        )
+        w = LWord(op, left, right, None, left.degree + right.degree, dd)
         _NODE_CACHE[key] = w
     return w
 
@@ -144,20 +159,23 @@ def compare(u: LWord, v: LWord) -> int:
     Weight comparison is lexicographic in (degree, top operation, left
     subterm, right subterm) with PREC above SUCC; two generators compare by
     index.  A generator never ties a composite word on degree, so the two
-    weight shapes never collide.
+    weight shapes never collide.  Words are interned, so two subterms tie
+    exactly when they are the same object, and the comparison walks down
+    one path: into the left subterms unless they are the same word, else
+    into the right ones.
     """
-    if u is v:
-        return 0
-    if u.degree != v.degree:
-        return -1 if u.degree < v.degree else 1
-    if u.op is None:
-        return -1 if u.index < v.index else 1
-    if u.op is not v.op:
-        return -1 if u.op < v.op else 1
-    c = compare(u.left, v.left)
-    if c:
-        return c
-    return compare(u.right, v.right)
+    while u is not v:
+        if u.degree != v.degree:
+            return -1 if u.degree < v.degree else 1
+        if u.op is None:
+            return -1 if u.index < v.index else 1
+        if u.op is not v.op:
+            return -1 if u.op < v.op else 1
+        if u.left is not v.left:
+            u, v = u.left, v.left
+        else:
+            u, v = u.right, v.right
+    return 0
 
 
 def is_normal(u: LWord) -> bool:

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
+from dendriform.rewrite import Redex, match_rule_at
 from dendriform.terms import PREC, SUCC, generator, node, normalize, substitute
 
 
@@ -43,3 +44,30 @@ def spliced(c, p):
     re-normalized, with no use of the basis products' fold.
     """
     return Polynomial(p.n, [(normalize(substitute(c, u)), a) for u, a in p.terms()])
+
+
+def reference_is_dd(u):
+    """The basis test in its recursive closed form, without the ``dd`` flag.
+
+    A generator; x < w or x > w with x a generator; or (x > w1) > w2 with x
+    a generator and w1, w2 basis words.
+    """
+    if u.op is None:
+        return True
+    if u.op is PREC:
+        return u.left.op is None and reference_is_dd(u.right)
+    if u.left.op is None:
+        return reference_is_dd(u.right)
+    left = u.left
+    return left.op is SUCC and left.left.op is None and reference_is_dd(left.right) and reference_is_dd(u.right)
+
+
+def reference_redexes(u, path=()):
+    """Every redex of any tree in preorder: ``match_rule_at`` at every
+    subterm, with no flag read and no subtree skipped."""
+    matched = match_rule_at(u)
+    out = [] if matched is None else [Redex(matched[0], path, matched[1])]
+    if u.op is not None:
+        out += reference_redexes(u.left, path + ("L",))
+        out += reference_redexes(u.right, path + ("R",))
+    return out

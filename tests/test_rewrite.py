@@ -1,11 +1,16 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from _strategies import polynomials, sample_dd_word, spliced
-from dendriform.oracle import enumerate_dd_words, enumerate_normal_lwords
+from _strategies import polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
+from dendriform.oracle import enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
 from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
     Redex,
@@ -14,11 +19,12 @@ from dendriform.rewrite import (
     find_redexes,
     first_redex,
     is_dd_normal,
+    max_reducible_word,
     normal_form,
     rewrite_step,
     rule_polynomial,
 )
-from dendriform.terms import PREC, SUCC, Context, compare, generator, hole, l_prec, l_succ, node
+from dendriform.terms import PREC, SUCC, Context, compare, generator, hole, is_normal, l_prec, l_succ, node
 
 x1, x2, x3, x4 = (generator(i) for i in range(1, 5))
 
@@ -39,11 +45,50 @@ class TestDDNormal:
             for m in range(1, 7):
                 for w in enumerate_normal_lwords(m, n).words:
                     assert is_dd_normal(w) == (find_redexes(w) == [])
+                    assert is_dd_normal(w) == (reference_redexes(w) == [])
 
     def test_dd_enumeration_is_redex_free(self):
         for m in range(1, 6):
             for w in enumerate_dd_words(m, 2):
                 assert is_dd_normal(w)
+
+    @pytest.mark.parametrize("max_degree,n", [(7, 1), (6, 2)])
+    def test_flag_and_searches_match_the_reference_walk(self, max_degree, n):
+        # The reference reads no flag and skips no subtree, so the pruned
+        # search and the one-path first redex are checked against it.
+        for m in range(1, max_degree + 1):
+            for w in enumerate_normal_lwords(m, n).words:
+                expected = reference_redexes(w)
+                assert w.dd == reference_is_dd(w) == (expected == [])
+                assert find_redexes(w) == expected
+                assert first_redex(w) == (expected[0] if expected else None)
+
+    def test_flag_on_arbitrary_trees(self):
+        # Normal or not, a flagged tree is normal and redex free, and the
+        # pruned search still finds every redex.
+        trees = [c.word for c in enumerate_contexts(4, 2)]
+        assert any(not is_normal(w) for w in trees)
+        for w in trees:
+            assert w.dd == reference_is_dd(w)
+            if w.dd:
+                assert is_normal(w) and reference_redexes(w) == []
+            assert find_redexes(w) == reference_redexes(w)
+
+    def test_pickle_keeps_the_flag(self):
+        words = [l_prec(x1, l_succ(x2, x3)), l_prec(l_prec(x1, x2), x3), l_succ(l_succ(x1, x2), x3)]
+        flags = [w.dd for w in words]
+        assert flags == [True, False, True]
+        for w in words:
+            assert pickle.loads(pickle.dumps(w)) is w
+        # A fresh interpreter rebuilds every word, and so its flag, from the bytes.
+        code = "import pickle, sys; print([w.dd for w in pickle.load(sys.stdin.buffer)])"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(words), capture_output=True, check=True, env=env, timeout=60,
+        ).stdout
+        assert out.decode().strip() == str(flags)
 
 
 class TestRulePolynomials:
@@ -249,3 +294,37 @@ class TestDendriformAxioms:
             assert normal_form(left_split).is_zero
             assert normal_form(right_split).is_zero
             checked += 1
+
+
+class TestDeepWords:
+    DEPTH = 10_000
+
+    def right_chain(self, bottom):
+        w = bottom
+        for _ in range(self.DEPTH):
+            w = node(SUCC, x1, w)
+        return w
+
+    def test_flag_redex_search_and_normal_form(self):
+        basis = self.right_chain(x2)
+        reducible = self.right_chain(node(PREC, node(PREC, x1, x2), x3))
+        assert is_dd_normal(basis) and not is_dd_normal(reducible)
+        assert first_redex(basis) is None and find_redexes(basis) == []
+        expected = Redex(RuleId.F1, ("R",) * self.DEPTH, (x1, x2, x3))
+        assert first_redex(reducible) == expected
+        assert find_redexes(reducible) == [expected]
+        # The public constructor checks normality recursively, so the
+        # polynomial is built raw from its two normal words.
+        p = Polynomial._raw(3, {basis: 1, reducible: 1})
+        assert max_reducible_word(p) is reducible
+        reduced = normal_form(Polynomial._raw(3, {reducible: 1}))
+        assert reduced._terms == {
+            self.right_chain(l_prec(x1, l_prec(x2, x3))): 1,
+            self.right_chain(l_prec(x1, l_succ(x2, x3))): 1,
+        }
+
+    def test_compare(self):
+        a = self.right_chain(l_prec(x1, l_prec(x2, x3)))
+        b = self.right_chain(node(PREC, node(PREC, x1, x2), x3))
+        assert compare(a, b) == -1 and compare(b, a) == 1 and compare(a, a) == 0
+        assert a < b and not b <= a
