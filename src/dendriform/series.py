@@ -101,11 +101,14 @@ def series_from_gf(m_max: int, n: int) -> SeriesCoefficients:
 def abc_series(m_max: int, n: int) -> tuple[SeriesCoefficients, SeriesCoefficients, SeriesCoefficients]:
     """Series of the three basis families of composite basis words.
 
-    A counts words x < w, B counts words x > w (so B = A), and C counts
-    words (x > w1) > w2, each with x a generator.  Closed forms:
+    A counts words x < w, B counts words x > w, and C counts words
+    (x > w1) > w2, each with x a generator.  A and C come from closed forms
 
         A = (1 - 2nt - sqrt(1 - 4nt)) / 2
         C = (1 - (1 - 2nt) sqrt(1 - 4nt)) / (2nt) - 2 + nt
+
+    and B from the shape recursion, B_m = n * dim_(m-1), so the two equal
+    families are computed on separate paths.
 
     Together with the n generators at degree 1 they decompose the whole
     dimension series.
@@ -129,9 +132,11 @@ def abc_series(m_max: int, n: int) -> tuple[SeriesCoefficients, SeriesCoefficien
         if m == 1:
             value += n
         c_coeffs.append(_as_count(value))
+    b_coeffs = [Fraction(0)] + [Fraction(n**m * f_recursive(m - 1)) for m in range(2, m_max + 1)]
     a = SeriesCoefficients(n, tuple(a_coeffs[: m_max]))
+    b = SeriesCoefficients(n, tuple(b_coeffs))
     c = SeriesCoefficients(n, tuple(c_coeffs))
-    return a, a, c
+    return a, b, c
 
 
 @dataclass(frozen=True)

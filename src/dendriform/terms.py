@@ -16,7 +16,7 @@ The expression grammar is::
 
     word      := generator | "(" word op word ")"
     op        := "<" | ">"
-    generator := "x" digits
+    generator := "x" [0-9]+
 
 with insignificant whitespace and every application fully parenthesized.
 Formatting is the exact inverse of parsing (single spaces around operators).
@@ -24,6 +24,7 @@ Formatting is the exact inverse of parsing (single spaces around operators).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -34,10 +35,6 @@ class Op(IntEnum):
 
     SUCC = 1
     PREC = 2
-
-    @property
-    def symbol(self) -> str:
-        return "<" if self is Op.PREC else ">"
 
 
 SUCC = Op.SUCC
@@ -285,83 +282,83 @@ def count_normal_lwords(m: int, n: int) -> int:
     return _count_pair(m, n)[0]
 
 
-_TOKEN_SINGLE = {"(": "(", ")": ")", "<": "op", ">": "op"}
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_SINGLE:
-            kind = _TOKEN_SINGLE[ch]
-            tokens.append((kind, ch, i))
-            i += 1
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < length and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after 'x'", i)
-            tokens.append(("gen", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_SYMBOL = {PREC: "<", SUCC: ">"}
+_OP = {symbol: op for op, symbol in _SYMBOL.items()}
+# A character that starts no token: an x without digits, a digit that
+# follows neither an x nor a digit, or a character outside the grammar.
+_NO_TOKEN = re.compile(r"x(?![0-9])|(?<![0-9x])[0-9]|[^\s()<>x0-9]")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def parse_lword(text: str, n: int | None = None) -> LWord:
     """Parse expression text into a word.
 
     When ``n`` is given, generator indexes outside [1, n] are rejected.
-    Raises ParseError with the character offset on any malformed input.
+    Raises ParseError with the character offset on any malformed input; a
+    character that starts no token is reported before any syntax error.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def error_at(message, fallback=None):
-        offset = tokens[pos][2] if pos < len(tokens) else (fallback if fallback is not None else len(text))
-        raise ParseError(message, offset)
-
-    def parse_word():
-        nonlocal pos
-        if pos >= len(tokens):
-            error_at("unexpected end of input")
-        kind, value, offset = tokens[pos]
-        if kind == "gen":
-            pos += 1
-            if value < 1:
+    stray = _NO_TOKEN.search(text)
+    if stray:
+        if stray.group() == "x":
+            raise ParseError("expected digits after 'x'", stray.start())
+        raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+    frames = []  # per open "(": None, then (left, op) once the operator is read
+    word = None  # the last complete word not yet placed in a frame
+    digits_end = 0
+    for offset, ch in enumerate(text):
+        if offset < digits_end or ch.isspace():
+            continue
+        if word is None:
+            if ch == "(":
+                frames.append(None)
+                continue
+            if ch != "x":
+                raise ParseError("expected a generator or '('", offset)
+            digits_end = _DIGITS.match(text, offset + 1).end()
+            try:
+                index = int(text[offset + 1 : digits_end])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("generator index has too many digits", offset) from None
+            if index < 1:
                 raise ParseError("generator index must be at least 1", offset)
-            if n is not None and value > n:
-                raise ParseError(f"generator index {value} exceeds alphabet size {n}", offset)
-            return _leaf(value)
-        if kind == "(":
-            pos += 1
-            left = parse_word()
-            if pos >= len(tokens) or tokens[pos][0] != "op":
-                error_at("expected operator '<' or '>'")
-            op = PREC if tokens[pos][1] == "<" else SUCC
-            pos += 1
-            right = parse_word()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                error_at("expected ')'")
-            pos += 1
-            return node(op, left, right)
-        error_at("expected a generator or '('")
-
-    word = parse_word()
-    if pos != len(tokens):
-        raise ParseError("trailing input after expression", tokens[pos][2])
+            if n is not None and index > n:
+                raise ParseError(f"generator index {index} exceeds alphabet size {n}", offset)
+            word = _leaf(index)
+        elif not frames:
+            raise ParseError("trailing input after expression", offset)
+        elif frames[-1] is None:
+            if ch not in _OP:
+                raise ParseError("expected operator '<' or '>'", offset)
+            frames[-1] = (word, _OP[ch])
+            word = None
+        elif ch == ")":
+            left, op = frames.pop()
+            word = node(op, left, word)
+        else:
+            raise ParseError("expected ')'", offset)
+    if word is None:
+        raise ParseError("unexpected end of input", len(text))
+    if frames:
+        raise ParseError("expected operator '<' or '>'" if frames[-1] is None else "expected ')'", len(text))
     return word
 
 
 def format_lword(u: LWord) -> str:
     """Canonical text form: fully parenthesized, single spaces around ops."""
-    if u.op is None:
-        return "*" if u.index == _HOLE_INDEX else f"x{u.index}"
-    return f"({format_lword(u.left)} {u.op.symbol} {format_lword(u.right)})"
+    pieces = []
+    pending = []  # (node, closes) for each node whose right factor is still to print
+    closes = 0  # the ")" that end the subword being printed
+    while True:
+        while u.op is not None:
+            pieces.append("(")
+            pending.append((u, closes))
+            closes = 0
+            u = u.left
+        pieces.append("*" if u.index == _HOLE_INDEX else f"x{u.index}")
+        pieces.append(")" * closes)
+        if not pending:
+            return "".join(pieces)
+        u, closes = pending.pop()
+        pieces.append(f" {_SYMBOL[u.op]} ")
+        closes += 1
+        u = u.right

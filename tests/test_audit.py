@@ -1,7 +1,8 @@
 import hashlib
 import random
 
-from dendriform.audit import sample_normal_word
+from dendriform import series
+from dendriform.audit import criterion_7_series_decomposition, sample_normal_word
 
 
 def test_entanglement_sampler_draws_are_pinned():
@@ -12,3 +13,11 @@ def test_entanglement_sampler_draws_are_pinned():
     assert words[:3] == ["(x1 > (x1 > (x1 > x1)))", "((x1 < (x1 > x1)) > (x1 > x1))", "x1"]
     digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
     assert digest == "e6193adc9dbdaa22f5ee70561709527b0de5f93e583b1932d9f6b945541a7a00"
+
+
+def test_series_decomposition_fails_on_a_wrong_b(monkeypatch):
+    # B comes from the shape recursion, A from the square-root expansion, so
+    # a wrong shape count must make criterion 7 fail.
+    shape_count = series.f_recursive
+    monkeypatch.setattr(series, "f_recursive", lambda m: shape_count(m) + (m == 4))
+    assert criterion_7_series_decomposition() == (False, {})

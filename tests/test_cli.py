@@ -70,6 +70,14 @@ def test_too_deep_input_exits_2_with_one_line(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])
+def test_bad_generator_digits_exit_2_with_one_line(capsys, text):
+    code, out, err = run(capsys, "normalize", text)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
 class TestReduce:
     def test_rule1_head(self, capsys):
         code, out, _ = run(capsys, "reduce", "((x1 < x2) < x3)")

@@ -56,9 +56,56 @@ class TestParse:
             parse_lword("(x1 ? x2)")
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text,n,message,offset",
+        [
+            ("(x1 ? x2)", None, "unexpected character '?'", 4),
+            ("(x > x2)", None, "expected digits after 'x'", 1),
+            ("(x1 >", None, "unexpected end of input", 5),
+            ("(x1 > x0)", None, "generator index must be at least 1", 6),
+            ("(x1 < x4)", 3, "generator index 4 exceeds alphabet size 3", 6),
+            ("(x1 x2)", None, "expected operator '<' or '>'", 4),
+            ("(x1", None, "expected operator '<' or '>'", 3),
+            ("(x1 > x2 x3)", None, "expected ')'", 9),
+            ("(x1 > x2", None, "expected ')'", 8),
+            ("(x1 > >)", None, "expected a generator or '('", 6),
+            ("x1 x2", None, "trailing input after expression", 3),
+            # A character that starts no token wins over an earlier syntax error.
+            ("(x1 x2 $)", None, "unexpected character '$'", 7),
+            ("(x1 x2 x)", None, "expected digits after 'x'", 7),
+        ],
+    )
+    def test_error_message_and_offset(self, text, n, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_lword(text, n)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.position == offset
+
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            ("x1²", "unexpected character '²'", 2),
+            ("x١", "expected digits after 'x'", 0),
+            ("(x1 < x" + "9" * 5000 + ")", "generator index has too many digits", 6),
+        ],
+        ids=["superscript-digit", "arabic-indic-digit", "5000-digit-index"],
+    )
+    def test_non_ascii_or_overlong_index_is_rejected(self, text, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_lword(text)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+
     @given(tree_words(n=3, max_leaves=6))
     def test_round_trip(self, w):
         assert parse_lword(format_lword(w), 3) is w
+
+    @pytest.mark.parametrize("comb", [False, True], ids=["right-succ-chain", "left-prec-comb"])
+    def test_round_trip_depth_10000(self, comb):
+        w = x1
+        for _ in range(10_000):
+            w = node(PREC, w, x2) if comb else node(SUCC, x2, w)
+        assert w.degree == 10_001
+        assert parse_lword(str(w)) is w
 
 
 class TestDegreeAndNormality:
