@@ -14,20 +14,24 @@ import random
 from fractions import Fraction
 
 from .gsbcheck import (
+    _normal_words_from_degree_3,
+    _redex_pairs,
+    _right_mult_instances,
     check_local_confluence,
     check_named_cases,
     coverage_audit,
     right_mult_sweep,
 )
 from .oracle import (
+    build_relation_matrix,
     enumerate_dd_words,
     enumerate_normal_lwords,
     quotient_dim,
 )
 from .poly import Polynomial, mul
-from .rewrite import RuleId, find_redexes, is_dd_normal, normal_form, rewrite_step
+from .rewrite import RuleId, find_redexes, is_dd_normal, normal_form, rewrite_step, rule_polynomial
 from .series import abc_series, dim_closed, f_recursive, gk_statistic, series_from_gf
-from .terms import PREC, SUCC, compare
+from .terms import PREC, SUCC, compare, generator, node
 
 
 def sample_normal_word(rng: random.Random, max_degree: int, n: int):
@@ -189,6 +193,97 @@ def family_census():
     return ok, dict(sorted(census.items()))
 
 
+def _leaf_sequence(w) -> tuple[int, ...]:
+    """Generator indexes of the leaves of w, left to right."""
+    leaves = []
+    stack = [w]
+    while stack:
+        u = stack.pop()
+        if u.op is None:
+            leaves.append(u.index)
+        else:
+            stack.append(u.right)
+            stack.append(u.left)
+    return tuple(leaves)
+
+
+def _collapser():
+    """kappa: the map sending every generator to x1, memoized per subword."""
+    x1 = generator(1)
+    memo = {}
+
+    def kappa(w):
+        if w.op is None:
+            return x1
+        out = memo.get(w)
+        if out is None:
+            out = memo[w] = node(w.op, kappa(w.left), kappa(w.right))
+        return out
+
+    return kappa
+
+
+def planar_grading():
+    """Words, relations and compositions split into leaf-sequence blocks, and kappa is faithful on each.
+
+    kappa sends every generator to x1.  Over (<=5,2) and (<=4,3): every
+    F1/F2/F3 relation row and every composition of the basis checks lies
+    in one block (the leaf sequence of its bound word); every block is a
+    copy of the degree's words over x1 under kappa; normal_form keeps each
+    word in its block and commutes with kappa; and within each block
+    compare(u, v) == compare(kappa u, kappa v) for every ordered pair.
+    This is what lets the basis sweeps run over x1 and relabel.
+    """
+    kappa = _collapser()
+    counts = dict.fromkeys(
+        ("blocks", "unfaithful_blocks", "order_pairs", "order_mismatches", "normal_forms",
+         "normal_form_mismatches", "relation_rows", "compositions", "off_block"),
+        0,
+    )
+    for max_degree, n in ((5, 2), (4, 3)):
+        for m in range(1, max_degree + 1):
+            ones = enumerate_normal_lwords(m, 1).words
+            at = {w: i for i, w in enumerate(ones)}
+            table = [[compare(a, b) for b in ones] for a in ones]
+            blocks: dict[tuple[int, ...], list] = {}
+            for w in enumerate_normal_lwords(m, n).words:
+                blocks.setdefault(_leaf_sequence(w), []).append(w)
+            counts["blocks"] += len(blocks)
+            for block in blocks.values():
+                positions = [at[kappa(w)] for w in block]
+                counts["unfaithful_blocks"] += len(block) != len(ones) or len(set(positions)) != len(ones)
+                for u, i in zip(block, positions):
+                    row = table[i]
+                    for v, j in zip(block, positions):
+                        counts["order_mismatches"] += compare(u, v) != row[j]
+                counts["order_pairs"] += len(block) ** 2
+            for sequence, block in blocks.items():
+                for w in block:
+                    nf = normal_form(Polynomial.monomial(w, n=n))
+                    counts["off_block"] += sum(_leaf_sequence(t) != sequence for t in nf._terms)
+                    collapsed = Polynomial(1, [(kappa(t), c) for t, c in nf._terms.items()])
+                    counts["normal_form_mismatches"] += collapsed != normal_form(Polynomial.monomial(kappa(w)))
+                    counts["normal_forms"] += 1
+            if m >= 3:
+                matrix = build_relation_matrix(m, n, include_f3=True)
+                sequences = [_leaf_sequence(w) for w in matrix.index.words]
+                for row in matrix.rows:
+                    counts["off_block"] += len({sequences[c] for c in row}) != 1
+                counts["relation_rows"] += len(matrix.rows)
+        for rule, bindings, v in _right_mult_instances(max_degree, n):
+            sequence = sum(map(_leaf_sequence, bindings), ()) + _leaf_sequence(v)
+            composition = mul(rule_polynomial(rule, bindings, n=n), PREC, Polynomial.monomial(v, n=n))
+            counts["off_block"] += sum(_leaf_sequence(t) != sequence for t in composition._terms)
+            counts["compositions"] += 1
+        for w, r1, r2 in _redex_pairs(_normal_words_from_degree_3(max_degree, n)):
+            sequence = _leaf_sequence(w)
+            composition = rewrite_step(w, r1, n=n) - rewrite_step(w, r2, n=n)
+            counts["off_block"] += sum(_leaf_sequence(t) != sequence for t in composition._terms)
+            counts["compositions"] += 1
+    ok = not any(counts[k] for k in ("unfaithful_blocks", "order_mismatches", "normal_form_mismatches", "off_block"))
+    return ok, counts
+
+
 CHECKS = (
     criterion_1_dimension_formula_three_ways,
     criterion_2_seed_dimensions,
@@ -199,4 +294,5 @@ CHECKS = (
     criterion_7_series_decomposition,
     criterion_8_growth_divergence,
     family_census,
+    planar_grading,
 )

@@ -8,6 +8,21 @@ carries two redexes: both one-step reducts must share a normal form, with
 every intermediate word strictly below the ambiguity.  Checks run over
 concrete words exhaustively up to a degree bound; failures are collected
 in reports, never thrown, so a single miss cannot mask others.
+
+The sweeps run over one generator and relabel.  The rules, the
+entanglement identity and the basis products never reorder, copy or drop
+leaves, so every word, relation and composition of degree m over x1..xn
+lies in one block: the words with a given left-to-right sequence of m
+leaf labels.  Within a block, ``compare`` never decides on two different
+generators (two words with the same leaf sequence differ first in shape),
+so the map sending every generator to x1 is a bijection from a block onto
+the degree-m words over x1 that preserves the order, the rules' matches,
+the one-step reducts and the normal forms.  Hence every report over n
+generators is a report over x1 with each word relabeled by one of the n^m
+leaf sequences, and the sweeps compute the x1 reports once.  This is the
+non-symmetry of the dendriform operad behind the paper's Catalan(m) * n^m;
+the audit's ``planar_grading`` check verifies the grading and the
+order-preservation exhaustively at small degree.
 """
 
 from __future__ import annotations
@@ -120,10 +135,13 @@ def _right_mult_instances(max_total_degree: int, n: int):
 
 def right_mult_sweep(max_total_degree: int, n: int) -> list[CompositionReport]:
     """Every right-multiplication composition with bindings plus right
-    factor totalling at most the given degree."""
-    reports = [check_right_mult(rule, b, v, n=n) for rule, b, v in _right_mult_instances(max_total_degree, n)]
-    reports.sort(key=_report_sort_key)
-    return reports
+    factor totalling at most the given degree.
+
+    The compositions over x1 are checked once and relabeled into every
+    leaf sequence over n generators (see the module docstring).
+    """
+    reports = [check_right_mult(rule, b, v, n=1) for rule, b, v in _right_mult_instances(max_total_degree, 1)]
+    return _relabeled(reports, n)
 
 
 def _check_pair(w: LWord, r1: Redex, r2: Redex, n: int) -> CompositionReport:
@@ -157,10 +175,59 @@ def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:
         raise ValueError("redexes need degree at least 3")
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
-    pairs = _redex_pairs(_normal_words_from_degree_3(max_degree, n))
-    reports = [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]
-    reports.sort(key=_report_sort_key)
-    return reports
+    pairs = _redex_pairs(_normal_words_from_degree_3(max_degree, 1))
+    return _relabeled([_check_pair(w, r1, r2, 1) for w, r1, r2 in pairs], n)
+
+
+def _relabeler(n: int):
+    """Map a word over x1 to the tuple of its n^degree relabelings, one per
+    leaf sequence in lexicographic order.
+
+    A word's relabelings are built from its children's, so the i-th entry
+    of every word of one degree carries the same leaf sequence.
+    """
+    memo = {generator(1): tuple(generator(i) for i in range(1, n + 1))}
+
+    def relabel(w: LWord) -> tuple[LWord, ...]:
+        out = memo.get(w)
+        if out is None:
+            op = w.op
+            rights = relabel(w.right)
+            out = memo[w] = tuple(node(op, a, b) for a in relabel(w.left) for b in rights)
+        return out
+
+    return relabel
+
+
+def _relabeled(reports: list[CompositionReport], n: int) -> list[CompositionReport]:
+    """Reports over x1 relabeled into every leaf sequence over n
+    generators, sorted.
+
+    The ambiguity word, the greatest intermediate and every residual word
+    of a report share their degree, and each takes the same leaf sequence.
+    """
+    if n == 1:
+        return sorted(reports, key=_report_sort_key)
+    relabel = _relabeler(n)
+    zero = Polynomial.zero(n)  # immutable, so the passing reports share it
+    out = []
+    for r in reports:
+        intermediates = None if r.max_intermediate is None else relabel(r.max_intermediate)
+        residuals = [(relabel(w), c) for w, c in r.residual._terms.items()]
+        for i, word in enumerate(relabel(r.ambiguity_word)):
+            out.append(
+                CompositionReport(
+                    kind=r.kind,
+                    rules=r.rules,
+                    ambiguity_word=word,
+                    residual=Polynomial._raw(n, {ws[i]: c for ws, c in residuals}) if residuals else zero,
+                    ok=r.ok,
+                    max_intermediate=None if intermediates is None else intermediates[i],
+                    paths=r.paths,
+                )
+            )
+    out.sort(key=_report_sort_key)
+    return out
 
 
 def _cycled_generators(count: int, n: int) -> list[LWord]:

@@ -110,19 +110,22 @@ def find_redexes(u: LWord) -> list[Redex]:
     return out
 
 
-def first_redex(u: LWord) -> Redex | None:
-    """The preorder-first redex of u, or None when u is DD-normal.
+def _first_match(u: LWord):
+    """The one-path walk to the preorder-first redex of a normal word.
 
-    u must be a normal word.  A normal word off the basis carries a redex,
-    so the walk goes down one path: it stops at a matching subterm and
-    otherwise enters the left child when that is off the basis, else the
-    right child.
+    Returns (rule, bindings, ancestors, path) with the ancestors the walk
+    passed through, root first, or None when u is DD-normal.  A normal word
+    off the basis carries a redex, so the walk stops at a matching subterm
+    and otherwise enters the left child when that is off the basis, else
+    the right child.
     """
+    ancestors: list[LWord] = []
     path: list[str] = []
     while not u.dd:
         matched = match_rule_at(u)
         if matched is not None:
-            return Redex(matched[0], tuple(path), matched[1])
+            return matched[0], matched[1], ancestors, path
+        ancestors.append(u)
         if u.left.dd:
             u = u.right
             path.append("R")
@@ -130,6 +133,18 @@ def first_redex(u: LWord) -> Redex | None:
             u = u.left
             path.append("L")
     return None
+
+
+def first_redex(u: LWord) -> Redex | None:
+    """The preorder-first redex of u, or None when u is DD-normal.
+
+    u must be a normal word; the walk goes down a single path.
+    """
+    found = _first_match(u)
+    if found is None:
+        return None
+    rule, bindings, _, path = found
+    return Redex(rule, tuple(path), bindings)
 
 
 def _right_side(rule: RuleId, bindings: tuple[LWord, ...]) -> tuple[tuple[LWord, int], ...]:
@@ -178,7 +193,35 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     return Polynomial._raw(n, terms)
 
 
-def _step_terms(u: LWord, redex: Redex) -> dict[LWord, int]:
+def _fold_step(u: LWord, rule: RuleId, bindings, ancestors, path) -> dict[LWord, int]:
+    """The terms of one rewrite step of u, given the walk to its redex.
+
+    Each right-side word is normal, and so is every sibling off the path
+    (a subterm of the normal word u).  Normalizing op(a, b) with normal a
+    and b gives the op-product of a and b, so folding the path back with
+    the basis products yields the normalized spliced word while visiting
+    only the path.  The products are injective, so the two words stay
+    distinct.
+    """
+    out: dict[LWord, int] = {}
+    for w, c in _right_side(rule, bindings):
+        for above, step in zip(reversed(ancestors), reversed(path)):
+            product = l_succ if above.op is SUCC else l_prec
+            w = product(w, above.right) if step == "L" else product(above.left, w)
+        if compare(w, u) >= 0:
+            raise RewriteOrderError(f"{rule.name} step at path {''.join(path)!r} failed to descend from {u}")
+        out[w] = c
+    return out
+
+
+def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
+    """Rewrite one occurrence: u minus the context-embedded rule instance.
+
+    u must be a normal word, as every word of a polynomial is.  The redex
+    must match u at its path (``StaleRedexError`` otherwise).  Every word
+    of the result is strictly smaller than u, which is checked per produced
+    term (``RewriteOrderError`` otherwise).
+    """
     ancestors = []
     target = u
     for step in redex.path:
@@ -189,34 +232,9 @@ def _step_terms(u: LWord, redex: Redex) -> dict[LWord, int]:
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
         raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {''.join(redex.path)!r}")
-    # Each right-side word is normal, and so is every sibling off the path
-    # (a subterm of the normal word u).  Normalizing op(a, b) with normal a
-    # and b gives the op-product of a and b, so folding the path back with
-    # the basis products yields the normalized spliced word while visiting
-    # only the path.  The products are injective, so the two words stay
-    # distinct.
-    out: dict[LWord, int] = {}
-    for w, c in _right_side(redex.rule, redex.bindings):
-        for above, step in zip(reversed(ancestors), reversed(redex.path)):
-            product = l_succ if above.op is SUCC else l_prec
-            w = product(w, above.right) if step == "L" else product(above.left, w)
-        if compare(w, u) >= 0:
-            raise RewriteOrderError(f"{redex.rule.name} step at path {''.join(redex.path)!r} failed to descend from {u}")
-        out[w] = c
-    return out
-
-
-def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
-    """Rewrite one occurrence: u minus the context-embedded rule instance.
-
-    u must be a normal word, as every word of a polynomial is.  Every word
-    of the result is strictly smaller than u, which is checked per produced
-    term (``RewriteOrderError`` otherwise).
-    """
-    terms = _step_terms(u, redex)
     if n is None:
         n = max(1, max_generator_index(u))
-    return Polynomial._raw(n, terms)
+    return Polynomial._raw(n, _fold_step(u, redex.rule, redex.bindings, ancestors, redex.path))
 
 
 # Every rule coefficient is +-1 and rewriting never divides, so cached
@@ -228,12 +246,14 @@ def _nf_word(u: LWord) -> dict[LWord, int]:
     res = _NF_CACHE.get(u)
     if res is not None:
         return res
-    redex = first_redex(u)
-    if redex is None:
+    found = _first_match(u)
+    if found is None:
         res = {u: 1}
     else:
+        # The walk that found the redex hands its ancestors straight to the
+        # fold, so the path is not walked or matched a second time.
         acc: dict[LWord, int] = {}
-        for w, c in _step_terms(u, redex).items():
+        for w, c in _fold_step(u, *found).items():
             for w2, c2 in _nf_word(w).items():
                 _accumulate(acc, w2, c * c2)
         res = acc

@@ -4,6 +4,14 @@ import random
 
 import hypothesis.strategies as st
 
+from dendriform.gsbcheck import (
+    _check_pair,
+    _normal_words_from_degree_3,
+    _redex_pairs,
+    _report_sort_key,
+    _right_mult_instances,
+    check_right_mult,
+)
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.rewrite import Redex, match_rule_at
@@ -71,3 +79,17 @@ def reference_redexes(u, path=()):
         out += reference_redexes(u.left, path + ("L",))
         out += reference_redexes(u.right, path + ("R",))
     return out
+
+
+def reference_right_mult_sweep(max_total_degree, n):
+    """Every right-multiplication composition checked directly over n
+    generators, with no relabeling: the reference for ``right_mult_sweep``."""
+    reports = [check_right_mult(rule, b, v, n=n) for rule, b, v in _right_mult_instances(max_total_degree, n)]
+    return sorted(reports, key=_report_sort_key)
+
+
+def reference_local_confluence(max_degree, n):
+    """Every redex pair of every normal word checked directly over n
+    generators, with no relabeling: the reference for ``check_local_confluence``."""
+    pairs = _redex_pairs(_normal_words_from_degree_3(max_degree, n))
+    return sorted((_check_pair(w, r1, r2, n) for w, r1, r2 in pairs), key=_report_sort_key)

@@ -1,7 +1,7 @@
 import hashlib
 import random
 
-from dendriform import series
+from dendriform import audit, series, terms
 from dendriform.audit import criterion_7_series_decomposition, sample_normal_word
 
 
@@ -21,3 +21,19 @@ def test_series_decomposition_fails_on_a_wrong_b(monkeypatch):
     shape_count = series.f_recursive
     monkeypatch.setattr(series, "f_recursive", lambda m: shape_count(m) + (m == 4))
     assert criterion_7_series_decomposition() == (False, {})
+
+
+def test_planar_grading_fails_on_a_label_dependent_order(monkeypatch):
+    # An order that reverses itself on words using x2 or x3 still ranks the
+    # words over x1 as before, so kappa no longer preserves it in the blocks
+    # with a leaf other than x1.
+    real = terms.compare
+
+    def label_dependent(u, v):
+        flip = terms.max_generator_index(u) > 1
+        return -real(u, v) if flip else real(u, v)
+
+    monkeypatch.setattr(audit, "compare", label_dependent)
+    ok, counts = audit.planar_grading()
+    assert not ok
+    assert counts["order_mismatches"] > 0

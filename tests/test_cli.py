@@ -270,10 +270,16 @@ def _left_comb(degree):
             ("hilbert", "--generators", "3", "--max-degree", "200"),
             "56d9543b371136269bc038699f2a8f04a7f01bf3c5fe9268b80d8a3399af6433",
         ),
+        # Recorded at commit aa14d57, where the basis sweeps ran over every
+        # generator directly instead of relabeling the sweep over x1.
+        (
+            ("verify-gsb", "--generators", "3", "--max-degree", "5", "--named-cases", "--format", "json"),
+            "3f106739a0b94e3f49f8d4e5fe36cf8914b4c08f47870b7192477adf2e6f85d3",
+        ),
     ],
     ids=[
         "verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3",
-        "gk-3-text", "gk-3-json", "gk-readme-text", "gk-readme-json", "hilbert-3-200",
+        "gk-3-text", "gk-3-json", "gk-readme-text", "gk-readme-json", "hilbert-3-200", "verify-5-3-named",
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):

@@ -1,5 +1,8 @@
 import pytest
 
+from _strategies import reference_local_confluence, reference_right_mult_sweep
+from dendriform import gsbcheck
+from dendriform.audit import _collapser, _leaf_sequence
 from dendriform.gsbcheck import (
     CompositionReport,
     check_local_confluence,
@@ -9,8 +12,9 @@ from dendriform.gsbcheck import (
     named_ambiguity_words,
     right_mult_sweep,
 )
-from dendriform.rewrite import RuleId, find_redexes
-from dendriform.terms import compare, generator, l_prec, l_succ
+from dendriform.poly import Polynomial
+from dendriform.rewrite import RuleId, find_redexes, normal_form, rewrite_step
+from dendriform.terms import compare, generator, l_prec, l_succ, parse_lword
 
 x1, x2, x3, x4, x5 = (generator(i) for i in range(1, 6))
 
@@ -133,3 +137,43 @@ class TestReportSerialization:
         assert payload["rules"] == ["F2"]
         assert payload["ok"] is True
         assert payload["residual"]["terms"] == []
+
+
+class TestRelabeling:
+    @pytest.mark.parametrize("max_degree,n", [(6, 2), (5, 3)])
+    @pytest.mark.parametrize(
+        "sweep,reference",
+        [(right_mult_sweep, reference_right_mult_sweep), (check_local_confluence, reference_local_confluence)],
+        ids=["right_mult", "local_confluence"],
+    )
+    def test_matches_the_direct_sweep(self, sweep, reference, max_degree, n):
+        relabeled = [r.to_json_dict() for r in sweep(max_degree, n)]
+        assert relabeled == [r.to_json_dict() for r in reference(max_degree, n)]
+
+    def test_a_failure_over_x1_fails_in_every_block(self, monkeypatch):
+        # Leave a residual on one pair of one ambiguity over x1; the sweep
+        # over two generators must report it once per leaf sequence, with
+        # the residual word relabeled by the ambiguity's sequence.
+        ambiguity = parse_lword("(((x1 < x1) < x1) < x1)")
+        r1, r2 = find_redexes(ambiguity)[:2]
+        target = rewrite_step(ambiguity, r1, n=1) - rewrite_step(ambiguity, r2, n=1)
+        witness = parse_lword("(x1 > ((x1 > x1) > x1))")
+        real = gsbcheck.normal_form
+
+        def leaky(p):
+            out = real(p)
+            return out + Polynomial.monomial(witness, n=1) if p == target else out
+
+        monkeypatch.setattr(gsbcheck, "normal_form", leaky)
+        collapse = _collapser()
+        failing = [r for r in check_local_confluence(4, 2) if not r.ok]
+        assert len(failing) == 2**4
+        assert len({_leaf_sequence(r.ambiguity_word) for r in failing}) == 2**4
+        for r in failing:
+            assert collapse(r.ambiguity_word) is ambiguity
+            assert r.paths == ("".join(r1.path), "".join(r2.path))
+            assert r.residual.n == 2
+            ((word, coeff),) = r.residual.terms()
+            assert coeff == 1 and collapse(word) is witness
+            assert _leaf_sequence(word) == _leaf_sequence(r.ambiguity_word)
+            assert normal_form(Polynomial.monomial(word, n=2)) == r.residual

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given
 
 from _strategies import polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
+from dendriform import rewrite
 from dendriform.oracle import enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
 from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
     Redex,
+    RewriteOrderError,
     RuleId,
     StaleRedexError,
     find_redexes,
@@ -252,6 +254,34 @@ class TestNormalForm:
                     reference = normal_form(Polynomial.monomial(w, n=n))
                     for r in redexes:
                         assert normal_form(rewrite_step(w, r, n=n)) == reference
+
+    def test_steps_fold_from_the_first_redex_walk(self, monkeypatch):
+        # normal_form matches the rules once per word on the one path to
+        # the first redex, and folds the step up the ancestors it passed;
+        # it never walks or matches the path a second time.
+        words = [w for m in range(1, 6) for w in enumerate_normal_lwords(m, 2).words]
+        expected = [normal_form(Polynomial.monomial(w, n=2)) for w in words]
+        cache = {}
+        matches = []
+        real = rewrite.match_rule_at
+
+        def counted(u):
+            matches.append(u)
+            return real(u)
+
+        monkeypatch.setattr(rewrite, "_NF_CACHE", cache)
+        monkeypatch.setattr(rewrite, "match_rule_at", counted)
+        assert [normal_form(Polynomial.monomial(w, n=2)) for w in words] == expected
+        monkeypatch.undo()
+        reduced = [u for u in cache if not u.dd]
+        assert reduced and len(matches) == sum(len(first_redex(u).path) + 1 for u in reduced)
+
+    def test_every_step_checks_descent(self, monkeypatch):
+        w = l_prec(l_prec(x1, x1), x1)
+        monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+        monkeypatch.setattr(rewrite, "compare", lambda u, v: 0)  # every produced word now ties with w
+        with pytest.raises(RewriteOrderError):
+            normal_form(Polynomial.monomial(w))
 
     @given(polynomials(n=2, max_degree=5), polynomials(n=2, max_degree=5))
     def test_linearity(self, p, q):
