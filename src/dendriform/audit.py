@@ -27,6 +27,7 @@ from .oracle import (
     enumerate_dd_words,
     enumerate_normal_lwords,
     quotient_dim,
+    row_echelon,
 )
 from .poly import Polynomial, mul
 from .rewrite import RuleId, find_redexes, is_dd_normal, normal_form, rewrite_step, rule_polynomial
@@ -65,7 +66,11 @@ def criterion_3_oracle_quotient():
     """Exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant.
 
     Degrees 1..7 over one generator and 1..5 over two, with the F3
-    redundancy checked from degree 3 on.
+    redundancy checked from degree 3 on.  Over two generators the quotient
+    is also eliminated directly over the two-generator rows, with and
+    without F3, and must agree with quotient_dim, which scales the x1
+    quotient by 2^m: the direct rank is the independent check of that
+    scaling.
     """
     ok = True
     counts = {}
@@ -77,6 +82,12 @@ def criterion_3_oracle_quotient():
         ok = ok and len(enumerate_dd_words(m, n)) == expected
         if m >= 3:
             ok = ok and quotient_dim(m, n, include_f3=True) == got
+            if n > 1:
+                n_words = len(enumerate_normal_lwords(m, n).words)
+                for include_f3 in (False, True):
+                    ok = ok and n_words - build_relation_matrix(m, n, include_f3).rank == got
+        elif n > 1:
+            ok = ok and len(enumerate_normal_lwords(m, n).words) == got
     return ok, counts
 
 
@@ -232,12 +243,14 @@ def planar_grading():
     copy of the degree's words over x1 under kappa; normal_form keeps each
     word in its block and commutes with kappa; and within each block
     compare(u, v) == compare(kappa u, kappa v) for every ordered pair.
-    This is what lets the basis sweeps run over x1 and relabel.
+    The relation rows of each degree fill all n^m blocks, and each block's
+    rows have the rank of the rows over x1.  This is what lets the basis
+    sweeps and quotient_dim run over x1 and relabel.
     """
     kappa = _collapser()
     counts = dict.fromkeys(
         ("blocks", "unfaithful_blocks", "order_pairs", "order_mismatches", "normal_forms",
-         "normal_form_mismatches", "relation_rows", "compositions", "off_block"),
+         "normal_form_mismatches", "relation_rows", "row_blocks", "rank_mismatches", "compositions", "off_block"),
         0,
     )
     for max_degree, n in ((5, 2), (4, 3)):
@@ -267,9 +280,18 @@ def planar_grading():
             if m >= 3:
                 matrix = build_relation_matrix(m, n, include_f3=True)
                 sequences = [_leaf_sequence(w) for w in matrix.index.words]
+                row_blocks: dict[tuple[int, ...], list] = {}
                 for row in matrix.rows:
-                    counts["off_block"] += len({sequences[c] for c in row}) != 1
+                    spanned = {sequences[c] for c in row}
+                    counts["off_block"] += len(spanned) != 1
+                    if len(spanned) == 1:
+                        row_blocks.setdefault(spanned.pop(), []).append(row)
                 counts["relation_rows"] += len(matrix.rows)
+                # A block without rows has rank 0, below the x1 rank.
+                rank = build_relation_matrix(m, 1, include_f3=True).rank
+                counts["row_blocks"] += len(row_blocks)
+                counts["rank_mismatches"] += n**m - len(row_blocks)
+                counts["rank_mismatches"] += sum(len(row_echelon(rows)) != rank for rows in row_blocks.values())
         for rule, bindings, v in _right_mult_instances(max_degree, n):
             sequence = sum(map(_leaf_sequence, bindings), ()) + _leaf_sequence(v)
             composition = mul(rule_polynomial(rule, bindings, n=n), PREC, Polynomial.monomial(v, n=n))
@@ -280,7 +302,9 @@ def planar_grading():
             composition = rewrite_step(w, r1, n=n) - rewrite_step(w, r2, n=n)
             counts["off_block"] += sum(_leaf_sequence(t) != sequence for t in composition._terms)
             counts["compositions"] += 1
-    ok = not any(counts[k] for k in ("unfaithful_blocks", "order_mismatches", "normal_form_mismatches", "off_block"))
+    ok = not any(
+        counts[k] for k in ("unfaithful_blocks", "order_mismatches", "normal_form_mismatches", "rank_mismatches", "off_block")
+    )
     return ok, counts
 
 

@@ -153,7 +153,7 @@ def _cmd_verify_gsb(args) -> int:
 
 def _cmd_oracle_dim(args) -> int:
     m, n = args.degree, args.generators
-    n_words = len(oracle.enumerate_normal_lwords(m, n).words)
+    n_words = count_normal_lwords(m, n)
     quotient = oracle.quotient_dim(m, n, args.include_f3)
     rank = n_words - quotient
     closed = series.dim_closed(m, n)

@@ -7,6 +7,15 @@ instantiating the defining relations inside every single-hole context, and
 subtracts the exact rank of that row space.  Everything is exact:
 elimination runs on ints and divides, with Fraction, only at a pivot whose
 leading entry is not 1 or -1, so ranks are certainties, not estimates.
+
+Over n >= 2 generators ``quotient_dim`` eliminates over x1 only.  The
+relations never reorder leaves (see the ``gsbcheck`` docstring), so the
+rows over n generators split into n^m blocks, one per leaf sequence, and
+each block's row set is the row set over x1 with the generators relabeled.
+The word count and the rank are therefore n^m times those over x1, and
+so is the quotient dimension.  ``build_relation_matrix`` stays direct over n generators, and
+the audit's criterion 3 and ``planar_grading`` check the scaling against
+it.
 """
 
 from __future__ import annotations
@@ -252,10 +261,13 @@ def quotient_dim(m: int, n: int, include_f3: bool = False) -> int:
     """Dimension of the degree-m component of the quotient algebra.
 
     Word count minus relation rank; below degree 3 there are no relations
-    and the normal words are already a basis.
+    and the normal words are already a basis.  Over n >= 2 generators this
+    is n^m times the dimension over x1 (the module docstring says why).
     """
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
+    if n > 1:
+        return n**m * quotient_dim(m, 1, include_f3)
     n_words = len(enumerate_normal_lwords(m, n).words)
     if m < 3:
         return n_words

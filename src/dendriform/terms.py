@@ -180,13 +180,20 @@ def is_normal(u: LWord) -> bool:
 
     Leaves are normal, u > v is normal when both factors are, and u < v
     additionally requires the left factor not to be SUCC-topped.  Hole
-    leaves are treated like generators.
+    leaves are treated like generators.  A word with the ``dd`` flag is
+    normal (by induction on the flag's definition), so the walk skips such
+    subwords; it descends each left spine in a loop and stacks the right
+    factors, so depth costs no recursion.
     """
-    if u.op is None:
-        return True
-    if not (is_normal(u.left) and is_normal(u.right)):
-        return False
-    return u.op is SUCC or u.left.op is not SUCC
+    stack = [u]
+    while stack:
+        u = stack.pop()
+        while not u.dd:
+            if u.op is PREC and u.left.op is SUCC:
+                return False
+            stack.append(u.right)
+            u = u.left
+    return True
 
 
 def l_succ(u: LWord, v: LWord) -> LWord:
@@ -219,16 +226,31 @@ def normalize(u: LWord) -> LWord:
 
 
 def count_holes(u: LWord) -> int:
-    if u.op is None:
-        return 1 if u.index == _HOLE_INDEX else 0
-    return count_holes(u.left) + count_holes(u.right)
+    """Number of hole leaves in the word; walked without recursion."""
+    holes = 0
+    stack = [u]
+    while stack:
+        u = stack.pop()
+        while u.op is not None:
+            stack.append(u.right)
+            u = u.left
+        if u.index == _HOLE_INDEX:
+            holes += 1
+    return holes
 
 
 def max_generator_index(u: LWord) -> int:
     """Largest generator index occurring in the word (0 for a bare hole)."""
-    if u.op is None:
-        return u.index
-    return max(max_generator_index(u.left), max_generator_index(u.right))
+    best = 0
+    stack = [u]
+    while stack:
+        u = stack.pop()
+        while u.op is not None:
+            stack.append(u.right)
+            u = u.left
+        if u.index > best:
+            best = u.index
+    return best
 
 
 @dataclass(frozen=True)

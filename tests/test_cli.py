@@ -193,6 +193,22 @@ class TestVerification:
         assert code == 0
         assert json.loads(out)["quotient_dim"] == 14
 
+    def test_oracle_dim_enumerates_only_over_x1(self, capsys, monkeypatch):
+        from dendriform import oracle
+
+        enumerate_normal_lwords = oracle.enumerate_normal_lwords
+
+        def x1_only(m, n):
+            assert n == 1, "oracle-dim enumerated the words over n generators"
+            return enumerate_normal_lwords(m, n)
+
+        monkeypatch.setattr(oracle, "enumerate_normal_lwords", x1_only)
+        code, out, _ = run(capsys, "oracle-dim", "--generators", "3", "--degree", "6", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_words"] == 728 * 3**6
+        assert payload["quotient_dim"] == payload["closed_form"] == 132 * 3**6
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -276,10 +292,17 @@ def _left_comb(degree):
             ("verify-gsb", "--generators", "3", "--max-degree", "5", "--named-cases", "--format", "json"),
             "3f106739a0b94e3f49f8d4e5fe36cf8914b4c08f47870b7192477adf2e6f85d3",
         ),
+        # Recorded at commit 44e0ced, where quotient_dim eliminated over all
+        # three generators directly and the word count enumerated them.
+        (
+            ("oracle-dim", "--generators", "3", "--degree", "5", "--format", "json"),
+            "d32808466cfa1f7df6171e87ca182437a385bed509b148e4337e6566b4818879",
+        ),
     ],
     ids=[
         "verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3",
         "gk-3-text", "gk-3-json", "gk-readme-text", "gk-readme-json", "hilbert-3-200", "verify-5-3-named",
+        "oracle-5-3",
     ],
 )
 def test_output_bytes_pinned(capsys, argv, digest):

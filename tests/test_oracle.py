@@ -233,6 +233,27 @@ class TestQuotientDimension:
         assert quotient_dim(3, 2) == dim_closed(3, 2)
         assert quotient_dim(4, 2) == dim_closed(4, 2)
 
+    @pytest.mark.parametrize("include_f3", [False, True])
+    @pytest.mark.parametrize("m, n", [(m, 2) for m in range(1, 6)] + [(m, 3) for m in range(1, 5)])
+    def test_scaled_quotient_matches_direct_elimination(self, m, n, include_f3):
+        # quotient_dim relabels the x1 quotient; the rows over n generators
+        # eliminated directly must give the same dimension.
+        n_words = len(enumerate_normal_lwords(m, n).words)
+        direct = n_words - build_relation_matrix(m, n, include_f3).rank if m >= 3 else n_words
+        assert quotient_dim(m, n, include_f3) == direct
+
+    def test_falsified_x1_rank_is_not_masked(self, monkeypatch):
+        # One pivot lost over x1 is one per leaf sequence over n generators.
+        from dendriform import oracle
+
+        def dropping_one_pivot(rows):
+            pivots = row_echelon(rows)
+            del pivots[max(pivots)]
+            return pivots
+
+        monkeypatch.setattr(oracle, "row_echelon", dropping_one_pivot)
+        assert quotient_dim(5, 2) == dim_closed(5, 2) + 2**5
+
 
 class TestAgainstRewriting:
     def test_reduction_moves_lie_in_row_space(self):

@@ -26,7 +26,20 @@ from dendriform.rewrite import (
     rewrite_step,
     rule_polynomial,
 )
-from dendriform.terms import PREC, SUCC, Context, compare, generator, hole, is_normal, l_prec, l_succ, node
+from dendriform.terms import (
+    PREC,
+    SUCC,
+    Context,
+    compare,
+    count_holes,
+    generator,
+    hole,
+    is_normal,
+    l_prec,
+    l_succ,
+    max_generator_index,
+    node,
+)
 
 x1, x2, x3, x4 = (generator(i) for i in range(1, 5))
 
@@ -343,15 +356,24 @@ class TestDeepWords:
         expected = Redex(RuleId.F1, ("R",) * self.DEPTH, (x1, x2, x3))
         assert first_redex(reducible) == expected
         assert find_redexes(reducible) == [expected]
-        # The public constructor checks normality recursively, so the
-        # polynomial is built raw from its two normal words.
-        p = Polynomial._raw(3, {basis: 1, reducible: 1})
+        p = Polynomial(3, {basis: 1, reducible: 1})
         assert max_reducible_word(p) is reducible
         reduced = normal_form(Polynomial._raw(3, {reducible: 1}))
         assert reduced._terms == {
             self.right_chain(l_prec(x1, l_prec(x2, x3))): 1,
             self.right_chain(l_prec(x1, l_succ(x2, x3))): 1,
         }
+
+    def test_public_constructor_and_fixed_point(self):
+        chain = self.right_chain(x1)
+        p = Polynomial.monomial(chain)
+        assert p.n == 1 and p._terms == {chain: 1}
+        assert normal_form(p) == p
+        assert is_normal(chain) and count_holes(chain) == 0 and max_generator_index(chain) == 1
+        holed = self.right_chain(node(SUCC, hole(), x3))
+        assert count_holes(holed) == 1 and max_generator_index(holed) == 3
+        with pytest.raises(ValueError, match="normal"):
+            Polynomial.monomial(self.right_chain(node(PREC, node(SUCC, x1, x2), x3)))
 
     def test_compare(self):
         a = self.right_chain(l_prec(x1, l_prec(x2, x3)))

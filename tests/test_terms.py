@@ -17,6 +17,7 @@ from dendriform.terms import (
     is_normal,
     l_prec,
     l_succ,
+    max_generator_index,
     node,
     normalize,
     parse_lword,
@@ -118,6 +119,19 @@ class TestDegreeAndNormality:
         assert is_normal(node(PREC, x1, x2))
         assert not is_normal(node(PREC, node(SUCC, x1, x2), x3))
         assert is_normal(node(SUCC, node(SUCC, x1, x2), x3))
+
+    def test_walks_match_the_definitions(self):
+        # A word is normal exactly when normalize leaves it alone; the
+        # contexts cover normal and non-normal trees, flagged or not.
+        def leaves(w):
+            return [w.index] if w.op is None else leaves(w.left) + leaves(w.right)
+
+        trees = [c.word for c in enumerate_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2).words)
+        assert any(not is_normal(w) for w in trees) and any(not w.dd and is_normal(w) for w in trees)
+        for w in trees:
+            assert is_normal(w) == (normalize(w) is w)
+            assert count_holes(w) == leaves(w).count(0)
+            assert max_generator_index(w) == max(leaves(w))
 
 
 class TestProducts:
