@@ -2,7 +2,7 @@
 
 Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
 audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, or input nested too deep to process.
+error (oracle-dim refuses a degree above 10).
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -151,8 +151,13 @@ def _cmd_verify_gsb(args) -> int:
     return 0 if ok else 1
 
 
+_ORACLE_MAX_DEGREE = 10  # (10, 1): 690,690 words, 3,797,472 rows; n >= 2 costs what n = 1 does
+
+
 def _cmd_oracle_dim(args) -> int:
     m, n = args.degree, args.generators
+    if m > _ORACLE_MAX_DEGREE:
+        raise _UsageError(f"oracle-dim needs --degree at most {_ORACLE_MAX_DEGREE}")
     n_words = count_normal_lwords(m, n)
     quotient = oracle.quotient_dim(m, n, args.include_f3)
     rank = n_words - quotient
@@ -268,9 +273,6 @@ def main(argv=None) -> int:
         return 2
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"input too deep: nesting exceeds the recursion limit of {sys.getrecursionlimit()}", file=sys.stderr)
         return 2
 
 

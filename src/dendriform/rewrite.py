@@ -242,6 +242,7 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
 _NF_CACHE: dict[LWord, dict[LWord, int]] = {}
 
 
+# Recurses per step of a rewrite chain, not per level of u: depth 14 on the reduce benchmark.
 def _nf_word(u: LWord) -> dict[LWord, int]:
     res = _NF_CACHE.get(u)
     if res is not None:

@@ -7,10 +7,12 @@ which the left factor of a ``<`` node is never itself ``>``-topped.  This
 module provides the word type, the basis products, the monomial order used
 by the rewrite engine, hole contexts, and plain-text parsing/formatting.
 
-Every word also carries a ``dd`` flag, set in O(1) when the word is interned
-from its children's flags: whether it lies on the dendriform basis, that is
-(for a normal word) whether no subterm matches a rewrite rule's left side.
-The rules themselves live in the rewrite module, which reads the flag.
+Every word also carries its facts, each set in O(1) when the word is
+interned from its children's: whether it is normal, its hole count, its
+largest generator index, and the ``dd`` flag, whether it lies on the
+dendriform basis, that is (for a normal word) whether no subterm matches a
+rewrite rule's left side.  The rules themselves live in the rewrite module,
+which reads the flag.  No function here recurses on the depth of a word.
 
 The expression grammar is::
 
@@ -24,10 +26,10 @@ Formatting is the exact inverse of parsing (single spaces around operators).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 
 class Op(IntEnum):
@@ -64,21 +66,27 @@ class LWord:
     operation (PREC above SUCC) and then by left and right subterm, and
     generators compare by index.
 
-    ``dd`` is the dendriform-basis flag: a leaf is on the basis; x < w and
-    x > w with x a leaf are when w is; any other word is only when it is
-    (x > w1) > w2 with x a leaf and w1, w2 on the basis.  No word with the
-    flag set carries a redex, and a normal word without it carries one.
+    Four facts are set in O(1) when a word is interned, from its children's.
+    ``normal``: no ``<`` node has a ``>``-topped left factor.  ``holes``: the
+    number of hole leaves.  ``index``: a leaf's own index (0 for the hole),
+    and a composite word's largest leaf index.  ``dd``, the dendriform-basis
+    flag: a leaf is on the basis; x < w and x > w with x a leaf are when w
+    is; any other word is only when it is (x > w1) > w2 with x a leaf and
+    w1, w2 on the basis.  No word with the flag set carries a redex, and a
+    normal word without it carries one.
     """
 
-    __slots__ = ("op", "left", "right", "index", "degree", "dd")
+    __slots__ = ("op", "left", "right", "index", "degree", "dd", "normal", "holes")
 
-    def __init__(self, op, left, right, index, degree, dd):
+    def __init__(self, op, left, right, index, degree, dd, normal, holes):
         self.op = op
         self.left = left
         self.right = right
         self.index = index
         self.degree = degree
         self.dd = dd
+        self.normal = normal
+        self.holes = holes
 
     def __lt__(self, other: "LWord") -> bool:
         return compare(self, other) < 0
@@ -119,7 +127,7 @@ _NODE_CACHE: dict[tuple[Op, LWord, LWord], LWord] = {}
 def _leaf(index: int) -> LWord:
     w = _LEAF_CACHE.get(index)
     if w is None:
-        w = LWord(None, None, None, index, 1, True)
+        w = LWord(None, None, None, index, 1, True, True, int(index == _HOLE_INDEX))
         _LEAF_CACHE[index] = w
     return w
 
@@ -145,7 +153,9 @@ def node(op: Op, left: LWord, right: LWord) -> LWord:
         dd = right.dd and (
             left.op is None or (op is SUCC and left.op is SUCC and left.left.op is None and left.dd)
         )
-        w = LWord(op, left, right, None, left.degree + right.degree, dd)
+        normal = left.normal and right.normal and not (op is PREC and left.op is SUCC)
+        index = left.index if left.index > right.index else right.index
+        w = LWord(op, left, right, index, left.degree + right.degree, dd, normal, left.holes + right.holes)
         _NODE_CACHE[key] = w
     return w
 
@@ -176,24 +186,8 @@ def compare(u: LWord, v: LWord) -> int:
 
 
 def is_normal(u: LWord) -> bool:
-    """True when the word lies in the normal-word basis.
-
-    Leaves are normal, u > v is normal when both factors are, and u < v
-    additionally requires the left factor not to be SUCC-topped.  Hole
-    leaves are treated like generators.  A word with the ``dd`` flag is
-    normal (by induction on the flag's definition), so the walk skips such
-    subwords; it descends each left spine in a loop and stacks the right
-    factors, so depth costs no recursion.
-    """
-    stack = [u]
-    while stack:
-        u = stack.pop()
-        while not u.dd:
-            if u.op is PREC and u.left.op is SUCC:
-                return False
-            stack.append(u.right)
-            u = u.left
-    return True
+    """True when the word lies in the normal-word basis (hole leaves count as generators)."""
+    return u.normal
 
 
 def l_succ(u: LWord, v: LWord) -> LWord:
@@ -204,53 +198,54 @@ def l_succ(u: LWord, v: LWord) -> LWord:
 def l_prec(u: LWord, v: LWord) -> LWord:
     """Product u < v of normal words, re-expressed in the basis.
 
-    A SUCC-topped left factor entangles: (u1 > u2) < v = u1 > (u2 < v),
-    recursively, so the result is again a normal word of degree |u| + |v|.
+    A SUCC-topped left factor entangles, (u1 > u2) < v = u1 > (u2 < v), all
+    the way down the SUCC right spine of u, so the result is again a normal
+    word of degree |u| + |v|.
     """
-    if u.op is SUCC:
-        return node(SUCC, u.left, l_prec(u.right, v))
-    return node(PREC, u, v)
+    if u.op is not SUCC:
+        return node(PREC, u, v)
+    spine = []
+    while u.op is SUCC:
+        spine.append(u.left)
+        u = u.right
+    w = node(PREC, u, v)
+    for left in reversed(spine):
+        w = node(SUCC, left, w)
+    return w
 
 
 def normalize(u: LWord) -> LWord:
     """Re-express an arbitrary word in the normal-word basis, bottom up.
 
-    Children are normalized first because the basis products require normal
-    arguments.  Idempotent and degree preserving.
+    Children are normalized first, in a postorder loop, because the basis
+    products require normal arguments; a normal subword is kept as it is.
+    Idempotent and degree preserving.
     """
-    if u.op is None:
+    if u.normal:
         return u
-    left = normalize(u.left)
-    right = normalize(u.right)
-    return l_succ(left, right) if u.op is SUCC else l_prec(left, right)
+    done = []  # normalized subwords whose parent is still pending
+    stack = [(u, False)]
+    while stack:
+        w, children_done = stack.pop()
+        if w.normal:
+            done.append(w)
+        elif children_done:
+            right = done.pop()
+            left = done.pop()
+            done.append(l_succ(left, right) if w.op is SUCC else l_prec(left, right))
+        else:
+            stack += ((w, True), (w.right, False), (w.left, False))
+    return done[0]
 
 
 def count_holes(u: LWord) -> int:
-    """Number of hole leaves in the word; walked without recursion."""
-    holes = 0
-    stack = [u]
-    while stack:
-        u = stack.pop()
-        while u.op is not None:
-            stack.append(u.right)
-            u = u.left
-        if u.index == _HOLE_INDEX:
-            holes += 1
-    return holes
+    """Number of hole leaves in the word."""
+    return u.holes
 
 
 def max_generator_index(u: LWord) -> int:
     """Largest generator index occurring in the word (0 for a bare hole)."""
-    best = 0
-    stack = [u]
-    while stack:
-        u = stack.pop()
-        while u.op is not None:
-            stack.append(u.right)
-            u = u.left
-        if u.index > best:
-            best = u.index
-    return best
+    return u.index
 
 
 @dataclass(frozen=True)
@@ -266,42 +261,36 @@ class Context:
 
 def substitute(c: Context, u: LWord) -> LWord:
     """Splice u into the hole of c.  The result need not be normal."""
-    return _splice(c.word, u)
+    w = c.word
+    path = []
+    while w.op is not None:
+        path.append(w)
+        w = w.left if w.left.holes else w.right
+    for above in reversed(path):
+        u = node(above.op, u, above.right) if above.left.holes else node(above.op, above.left, u)
+    return u
 
 
-def _splice(w: LWord, u: LWord) -> LWord:
-    if w.op is None:
-        return u if w.index == _HOLE_INDEX else w
-    if count_holes(w.left):
-        return node(w.op, _splice(w.left, u), w.right)
-    return node(w.op, w.left, _splice(w.right, u))
-
-
-@lru_cache(maxsize=None)
-def _count_pair(m: int, n: int) -> tuple[int, int]:
-    # (all normal words, normal words not SUCC-topped) of degree m.
-    if m == 1:
-        return (n, n)
-    succ_topped = 0
-    prec_topped = 0
-    for i in range(1, m):
-        ai, bi = _count_pair(i, n)
-        aj = _count_pair(m - i, n)[0]
-        succ_topped += ai * aj
-        prec_topped += bi * aj
-    b = prec_topped
-    return (succ_topped + b, b)
+# Per alphabet size n, indexed by degree (entry 0 is 0): the number of normal
+# words, and of those not SUCC-topped.
+_PAIR_COUNTS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 def count_normal_lwords(m: int, n: int) -> int:
-    """Number of normal words of degree m over n generators, by recursion.
+    """Number of normal words of degree m over n generators, by a recurrence.
 
     Splits on the top operation: SUCC-topped words are arbitrary pairs,
-    PREC-topped words need a non-SUCC-topped left factor.
+    PREC-topped words need a non-SUCC-topped left factor.  The table for n
+    is extended bottom up, one degree at a time.
     """
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
-    return _count_pair(m, n)[0]
+    words, not_succ = _PAIR_COUNTS.setdefault(n, ([0, n], [0, n]))
+    while len(words) <= m:
+        prec_topped = sum(map(operator.mul, not_succ[1:], reversed(words[1:])))
+        words.append(sum(map(operator.mul, words[1:], reversed(words[1:]))) + prec_topped)
+        not_succ.append(prec_topped)
+    return words[m]
 
 
 _SYMBOL = {PREC: "<", SUCC: ">"}

@@ -15,12 +15,12 @@ from dendriform.gsbcheck import (
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.rewrite import Redex, match_rule_at
-from dendriform.terms import PREC, SUCC, generator, node, normalize, substitute
+from dendriform.terms import PREC, SUCC, generator, hole, node, normalize, substitute
 
 
-def tree_words(n=2, max_leaves=6):
-    """Arbitrary (not necessarily normal) words."""
-    leaves = st.integers(1, n).map(generator)
+def tree_words(n=2, max_leaves=6, holes=False):
+    """Arbitrary (not necessarily normal) words, with hole leaves if asked."""
+    leaves = st.integers(0 if holes else 1, n).map(lambda i: generator(i) if i else hole())
     return st.recursive(
         leaves,
         lambda children: st.tuples(st.sampled_from((PREC, SUCC)), children, children).map(
@@ -68,6 +68,19 @@ def reference_is_dd(u):
         return reference_is_dd(u.right)
     left = u.left
     return left.op is SUCC and left.left.op is None and reference_is_dd(left.right) and reference_is_dd(u.right)
+
+
+def reference_is_normal(u):
+    """Normality by its recursive definition, without the ``normal`` flag:
+    no ``<`` node has a ``>``-topped left factor."""
+    if u.op is None:
+        return True
+    return reference_is_normal(u.left) and reference_is_normal(u.right) and not (u.op is PREC and u.left.op is SUCC)
+
+
+def reference_leaves(u):
+    """The leaf indexes of u, left to right (0 for a hole), by recursion."""
+    return [u.index] if u.op is None else reference_leaves(u.left) + reference_leaves(u.right)
 
 
 def reference_redexes(u, path=()):

@@ -62,12 +62,27 @@ class TestNormalize:
 
 
 @pytest.mark.parametrize("command", ["normalize", "reduce"])
-def test_too_deep_input_exits_2_with_one_line(capsys, command):
-    depth = 1500
-    code, out, err = run(capsys, command, "(x1 > " * depth + "x1" + ")" * depth)
+def test_depth_10000_input_completes(capsys, command):
+    # The right > chain is DD-normal, so both commands print it unchanged;
+    # the chain < x2 entangles down the whole spine onto (x1 < x2).
+    depth = 10_000
+    chain = "(x1 > " * depth + "x1" + ")" * depth
+    code, out, err = run(capsys, command, chain, f"({chain} < x2)")
+    assert code == 0 and err == ""
+    assert out == chain + "\n" + "(x1 > " * depth + "(x1 < x2)" + ")" * depth + "\n"
+
+
+@pytest.mark.parametrize("degree", ["11", "1500"])
+def test_oracle_dim_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch, degree):
+    from dendriform import oracle
+
+    def no_enumeration(*args):
+        raise AssertionError("oracle-dim enumerated before refusing the degree")
+
+    monkeypatch.setattr(oracle, "quotient_dim", no_enumeration)
+    code, out, err = run(capsys, "oracle-dim", "--generators", "1", "--degree", degree)
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("input too deep: ")
-    assert "Traceback" not in err
+    assert err == "usage error: oracle-dim needs --degree at most 10\n"
 
 
 @pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])

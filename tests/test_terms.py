@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 
-from _strategies import normal_words, tree_words
+from _strategies import normal_words, reference_is_normal, reference_leaves, tree_words
+from dendriform import terms
 from dendriform.oracle import enumerate_contexts, enumerate_normal_lwords
 from dendriform.terms import (
     PREC,
@@ -38,25 +41,6 @@ class TestParse:
         assert parse_lword(" (x1<x2) ") is node(PREC, x1, x2)
         assert parse_lword("(  x1 >   x2)") is node(SUCC, x1, x2)
 
-    def test_unbalanced_is_rejected(self):
-        with pytest.raises(ParseError):
-            parse_lword("(x1 > (x2 > x3")
-
-    def test_trailing_garbage_is_rejected(self):
-        with pytest.raises(ParseError):
-            parse_lword("x1 x2")
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ParseError):
-            parse_lword("x3", 2)
-        with pytest.raises(ParseError):
-            parse_lword("x0")
-
-    def test_error_carries_offset(self):
-        with pytest.raises(ParseError) as exc:
-            parse_lword("(x1 ? x2)")
-        assert exc.value.position == 4
-
     @pytest.mark.parametrize(
         "text,n,message,offset",
         [
@@ -65,10 +49,13 @@ class TestParse:
             ("(x1 >", None, "unexpected end of input", 5),
             ("(x1 > x0)", None, "generator index must be at least 1", 6),
             ("(x1 < x4)", 3, "generator index 4 exceeds alphabet size 3", 6),
+            ("x3", 2, "generator index 3 exceeds alphabet size 2", 0),
+            ("x0", None, "generator index must be at least 1", 0),
             ("(x1 x2)", None, "expected operator '<' or '>'", 4),
             ("(x1", None, "expected operator '<' or '>'", 3),
             ("(x1 > x2 x3)", None, "expected ')'", 9),
             ("(x1 > x2", None, "expected ')'", 8),
+            ("(x1 > (x2 > x3", None, "expected ')'", 14),
             ("(x1 > >)", None, "expected a generator or '('", 6),
             ("x1 x2", None, "trailing input after expression", 3),
             # A character that starts no token wins over an earlier syntax error.
@@ -121,17 +108,20 @@ class TestDegreeAndNormality:
         assert is_normal(node(SUCC, node(SUCC, x1, x2), x3))
 
     def test_walks_match_the_definitions(self):
-        # A word is normal exactly when normalize leaves it alone; the
-        # contexts cover normal and non-normal trees, flagged or not.
-        def leaves(w):
-            return [w.index] if w.op is None else leaves(w.left) + leaves(w.right)
-
+        # The contexts cover normal and non-normal trees, flagged or not.
         trees = [c.word for c in enumerate_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2).words)
         assert any(not is_normal(w) for w in trees) and any(not w.dd and is_normal(w) for w in trees)
         for w in trees:
-            assert is_normal(w) == (normalize(w) is w)
-            assert count_holes(w) == leaves(w).count(0)
-            assert max_generator_index(w) == max(leaves(w))
+            assert is_normal(w) == reference_is_normal(w)
+            assert count_holes(w) == reference_leaves(w).count(0)
+            assert max_generator_index(w) == max(reference_leaves(w))
+
+    @given(tree_words(n=3, max_leaves=8, holes=True))
+    def test_facts_match_the_definitions_on_any_tree(self, w):
+        leaves = reference_leaves(w)
+        assert w.normal == reference_is_normal(w)
+        assert w.holes == leaves.count(0)
+        assert w.index == max(leaves)
 
 
 class TestProducts:
@@ -250,6 +240,12 @@ class TestCounting:
     def test_recursion_matches_enumeration(self, n):
         for m in range(1, 6):
             assert count_normal_lwords(m, n) == len(enumerate_normal_lwords(m, n).words)
+
+    def test_single_generator_closed_form_to_degree_400(self, monkeypatch):
+        # The table is built cold, bottom up, far past what enumeration reaches.
+        monkeypatch.setattr(terms, "_PAIR_COUNTS", {})
+        for m in range(1, 401):
+            assert count_normal_lwords(m, 1) == math.comb(3 * m - 2, m - 1) // m
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
