@@ -27,7 +27,6 @@ from .rewrite import (
     RuleId,
     StaleRedexError,
     find_redexes,
-    is_dd_normal,
     normal_form,
     rewrite_step,
     rule_polynomial,

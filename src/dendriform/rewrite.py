@@ -47,14 +47,24 @@ class RuleId(Enum):
         return 4 if self is RuleId.F3 else 3
 
 
-def is_dd_normal(u: LWord) -> bool:
-    """Whether a normal word already lies on the dendriform basis.
-
-    Basis words are: a generator; x < w or x > w with x a generator; or
-    (x > w1) > w2 with x a generator and w1, w2 basis words.  Every word
-    carries this as its ``dd`` flag, set when it is built.
-    """
-    return u.dd
+# Each rule's two sides at normal bindings (x, y, z[, v]), built through the
+# basis products: the left side, and the right side as (word, coefficient)
+# pairs of two distinct normal words.  The builders look the products up as
+# module globals when called.
+_SIDES = {
+    RuleId.F1: (
+        lambda x, y, z: l_prec(l_prec(x, y), z),
+        lambda x, y, z: ((l_prec(x, l_prec(y, z)), 1), (l_prec(x, l_succ(y, z)), 1)),
+    ),
+    RuleId.F2: (
+        lambda x, y, z: l_succ(l_prec(x, y), z),
+        lambda x, y, z: ((l_succ(x, l_succ(y, z)), 1), (l_succ(l_succ(x, y), z), -1)),
+    ),
+    RuleId.F3: (
+        lambda x, y, z, v: l_succ(l_succ(l_succ(x, y), z), v),
+        lambda x, y, z, v: ((l_succ(l_succ(x, y), l_succ(z, v)), 1), (l_succ(l_succ(x, l_prec(y, z)), v), -1)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -135,34 +145,6 @@ def _first_match(u: LWord):
     return None
 
 
-def first_redex(u: LWord) -> Redex | None:
-    """The preorder-first redex of u, or None when u is DD-normal.
-
-    u must be a normal word; the walk goes down a single path.
-    """
-    found = _first_match(u)
-    if found is None:
-        return None
-    rule, bindings, _, path = found
-    return Redex(rule, tuple(path), bindings)
-
-
-def _right_side(rule: RuleId, bindings: tuple[LWord, ...]) -> tuple[tuple[LWord, int], ...]:
-    """Oriented right side at concrete normal bindings, as (word, coefficient) pairs.
-
-    Products are evaluated through the basis products, so every term is a
-    single normal word; the two words always differ.
-    """
-    if rule is RuleId.F1:
-        x, y, z = bindings
-        return (l_prec(x, l_prec(y, z)), 1), (l_prec(x, l_succ(y, z)), 1)
-    if rule is RuleId.F2:
-        x, y, z = bindings
-        return (l_succ(x, l_succ(y, z)), 1), (l_succ(l_succ(x, y), z), -1)
-    x, y, z, v = bindings
-    return (l_succ(l_succ(x, y), l_succ(z, v)), 1), (l_succ(l_succ(x, l_prec(y, z)), v), -1)
-
-
 def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomial:
     """The rule relation at concrete bindings: left side minus right side.
 
@@ -176,17 +158,9 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     for b in bindings:
         if not is_normal(b):
             raise ValueError(f"rule bindings must be normal words: {b}")
-    if rule is RuleId.F1:
-        x, y, z = bindings
-        lead = l_prec(l_prec(x, y), z)
-    elif rule is RuleId.F2:
-        x, y, z = bindings
-        lead = l_succ(l_prec(x, y), z)
-    else:
-        x, y, z, v = bindings
-        lead = l_succ(l_succ(l_succ(x, y), z), v)
-    terms = {lead: 1}
-    for w, c in _right_side(rule, bindings):
+    left_side, right_side = _SIDES[rule]
+    terms = {left_side(*bindings): 1}
+    for w, c in right_side(*bindings):
         _accumulate(terms, w, -c)
     if n is None:
         n = max(1, max(max_generator_index(b) for b in bindings))
@@ -204,7 +178,7 @@ def _fold_step(u: LWord, rule: RuleId, bindings, ancestors, path) -> dict[LWord,
     distinct.
     """
     out: dict[LWord, int] = {}
-    for w, c in _right_side(rule, bindings):
+    for w, c in _SIDES[rule][1](*bindings):
         for above, step in zip(reversed(ancestors), reversed(path)):
             product = l_succ if above.op is SUCC else l_prec
             w = product(w, above.right) if step == "L" else product(above.left, w)

@@ -6,6 +6,8 @@ free L-algebra on x1..xn has a basis of *normal* words: binary trees in
 which the left factor of a ``<`` node is never itself ``>``-topped.  This
 module provides the word type, the basis products, the monomial order used
 by the rewrite engine, hole contexts, and plain-text parsing/formatting.
+The normal words of degree m over n generators are counted in closed form,
+n^m C(3m-2, m-1)/m, from the functional equation of their generating function.
 
 Every word also carries its facts, each set in O(1) when the word is
 interned from its children's: whether it is normal, its hole count, its
@@ -26,7 +28,7 @@ Formatting is the exact inverse of parsing (single spaces around operators).
 
 from __future__ import annotations
 
-import operator
+import math
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -271,26 +273,15 @@ def substitute(c: Context, u: LWord) -> LWord:
     return u
 
 
-# Per alphabet size n, indexed by degree (entry 0 is 0): the number of normal
-# words, and of those not SUCC-topped.
-_PAIR_COUNTS: dict[int, tuple[list[int], list[int]]] = {}
-
-
 def count_normal_lwords(m: int, n: int) -> int:
-    """Number of normal words of degree m over n generators, by a recurrence.
+    """Number of normal words of degree m over n generators, in closed form.
 
-    Splits on the top operation: SUCC-topped words are arbitrary pairs,
-    PREC-topped words need a non-SUCC-topped left factor.  The table for n
-    is extended bottom up, one degree at a time.
+    Split by top operation, their generating function W = nt + W^2 + (W - W^2)W
+    satisfies W(1 - W)^2 = nt, and Lagrange inversion gives n^m C(3m-2, m-1)/m.
     """
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
-    words, not_succ = _PAIR_COUNTS.setdefault(n, ([0, n], [0, n]))
-    while len(words) <= m:
-        prec_topped = sum(map(operator.mul, not_succ[1:], reversed(words[1:])))
-        words.append(sum(map(operator.mul, words[1:], reversed(words[1:]))) + prec_topped)
-        not_succ.append(prec_topped)
-    return words[m]
+    return n**m * (math.comb(3 * m - 2, m - 1) // m)
 
 
 _SYMBOL = {PREC: "<", SUCC: ">"}

@@ -85,6 +85,21 @@ def test_oracle_dim_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch
     assert err == "usage error: oracle-dim needs --degree at most 10\n"
 
 
+@pytest.mark.parametrize("n,max_degree", [("2", "8"), ("3", "7")])
+def test_count_enumerate_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch, n, max_degree):
+    # 6,005,250 and 9,044,913 normal words in all, over the 836,970 over x1
+    # through oracle-dim's degree ceiling; (7, 2) and (6, 3) stay below it.
+    from dendriform import oracle
+
+    def no_enumeration(*args):
+        raise AssertionError("count enumerated before refusing the size")
+
+    monkeypatch.setattr(oracle, "enumerate_normal_lwords", no_enumeration)
+    code, out, err = run(capsys, "count", "--generators", n, "--max-degree", max_degree, "--enumerate")
+    assert code == 2 and out == ""
+    assert err == "usage error: count --enumerate needs at most 836970 normal words through --max-degree\n"
+
+
 @pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])
 def test_bad_generator_digits_exit_2_with_one_line(capsys, text):
     code, out, err = run(capsys, "normalize", text)

@@ -14,7 +14,7 @@ from dendriform.oracle import (
     vector_in_row_space,
 )
 from dendriform.poly import Polynomial, hole_path
-from dendriform.rewrite import RuleId, is_dd_normal, normal_form
+from dendriform.rewrite import RuleId, normal_form
 from dendriform.series import dim_closed
 from dendriform.terms import count_normal_lwords, generator, is_normal, l_prec, l_succ
 
@@ -73,7 +73,7 @@ class TestDDEnumeration:
         dd = set(enumerate_dd_words(4, 2))
         all_words = set(enumerate_normal_lwords(4, 2).words)
         assert dd <= all_words
-        assert all(is_dd_normal(w) for w in dd)
+        assert all(w.dd for w in dd)
 
 
 class TestContexts:

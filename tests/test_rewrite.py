@@ -11,7 +11,7 @@ from hypothesis import given
 
 from _strategies import polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
 from dendriform import rewrite
-from dendriform.oracle import enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
+from dendriform.oracle import binding_tuples, enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
 from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
     Redex,
@@ -19,8 +19,6 @@ from dendriform.rewrite import (
     RuleId,
     StaleRedexError,
     find_redexes,
-    first_redex,
-    is_dd_normal,
     max_reducible_word,
     normal_form,
     rewrite_step,
@@ -39,6 +37,7 @@ from dendriform.terms import (
     l_succ,
     max_generator_index,
     node,
+    normalize,
 )
 
 x1, x2, x3, x4 = (generator(i) for i in range(1, 5))
@@ -48,24 +47,44 @@ def mono(word, coeff=1, n=4):
     return Polynomial.monomial(word, coeff, n=n)
 
 
+def first_match(w):
+    """``_first_match`` on w as (rule, bindings, joined path), or None.
+
+    Also checks that its ancestors are the subterms the path passes through.
+    """
+    found = rewrite._first_match(w)
+    if found is None:
+        return None
+    rule, bindings, ancestors, path = found
+    assert len(ancestors) == len(path)
+    for above, step in zip(ancestors, path):
+        assert above is w
+        w = w.left if step == "L" else w.right
+    return rule, bindings, "".join(path)
+
+
+def joined(redex):
+    return redex.rule, redex.bindings, "".join(redex.path)
+
+
 class TestDDNormal:
     def test_examples(self):
-        assert is_dd_normal(l_prec(x1, l_succ(x2, x3)))
-        assert not is_dd_normal(l_prec(l_prec(x1, x2), x3))
-        assert is_dd_normal(l_succ(l_succ(x1, x2), x3))
+        assert l_prec(x1, l_succ(x2, x3)).dd
+        assert not l_prec(l_prec(x1, x2), x3).dd
+        assert l_succ(l_succ(x1, x2), x3).dd
 
     def test_equals_redex_freeness_exhaustively(self):
         # Degree <= 6 over one and two generators.
         for n in (1, 2):
             for m in range(1, 7):
                 for w in enumerate_normal_lwords(m, n).words:
-                    assert is_dd_normal(w) == (find_redexes(w) == [])
-                    assert is_dd_normal(w) == (reference_redexes(w) == [])
+                    assert w.dd == (find_redexes(w) == [])
+                    assert w.dd == (reference_redexes(w) == [])
 
     def test_dd_enumeration_is_redex_free(self):
         for m in range(1, 6):
             for w in enumerate_dd_words(m, 2):
-                assert is_dd_normal(w)
+                assert w.dd
 
     @pytest.mark.parametrize("max_degree,n", [(7, 1), (6, 2)])
     def test_flag_and_searches_match_the_reference_walk(self, max_degree, n):
@@ -76,7 +95,7 @@ class TestDDNormal:
                 expected = reference_redexes(w)
                 assert w.dd == reference_is_dd(w) == (expected == [])
                 assert find_redexes(w) == expected
-                assert first_redex(w) == (expected[0] if expected else None)
+                assert first_match(w) == (joined(expected[0]) if expected else None)
 
     def test_flag_on_arbitrary_trees(self):
         # Normal or not, a flagged tree is normal and redex free, and the
@@ -131,6 +150,37 @@ class TestRulePolynomials:
             + mono(l_succ(l_succ(x1, l_prec(x2, x3)), x4))
         )
 
+    # The rules as the module docstring writes them, as raw trees.
+    DOCSTRING_SIDES = {
+        RuleId.F1: (
+            lambda x, y, z: node(PREC, node(PREC, x, y), z),
+            lambda x, y, z: ((node(PREC, x, node(PREC, y, z)), 1), (node(PREC, x, node(SUCC, y, z)), 1)),
+        ),
+        RuleId.F2: (
+            lambda x, y, z: node(SUCC, node(PREC, x, y), z),
+            lambda x, y, z: ((node(SUCC, x, node(SUCC, y, z)), 1), (node(SUCC, node(SUCC, x, y), z), -1)),
+        ),
+        RuleId.F3: (
+            lambda x, y, z, v: node(SUCC, node(SUCC, node(SUCC, x, y), z), v),
+            lambda x, y, z, v: (
+                (node(SUCC, node(SUCC, x, y), node(SUCC, z, v)), 1),
+                (node(SUCC, node(SUCC, x, node(PREC, y, z)), v), -1),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", list(RuleId))
+    def test_table_sides_are_the_docstring_rules(self, rule):
+        left_side, right_side = rewrite._SIDES[rule]
+        doc_left, doc_right = self.DOCSTRING_SIDES[rule]
+        checked = 0
+        for total in range(rule.arity, 7):
+            for bindings in binding_tuples(total, rule.arity, 1):
+                assert left_side(*bindings) is normalize(doc_left(*bindings))
+                assert right_side(*bindings) == tuple((normalize(w), c) for w, c in doc_right(*bindings))
+                checked += 1
+        assert checked == {3: 222, 4: 61}[rule.arity]
+
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             rule_polynomial(RuleId.F1, (x1, x2))
@@ -155,7 +205,7 @@ class TestFindRedexes:
             for m in range(3, 7):
                 for w in enumerate_normal_lwords(m, n).words:
                     redexes = find_redexes(w)
-                    assert first_redex(w) == (redexes[0] if redexes else None)
+                    assert first_match(w) == (joined(redexes[0]) if redexes else None)
 
     def test_paths_address_matching_subterms(self):
         w = node(SUCC, node(PREC, node(PREC, x1, x2), x3), x4)
@@ -252,7 +302,7 @@ class TestNormalForm:
             for m in range(1, 7):
                 for w in enumerate_normal_lwords(m, n).words:
                     nf = normal_form(Polynomial.monomial(w, n=n))
-                    assert all(is_dd_normal(t) for t, _ in nf.terms())
+                    assert all(t.dd for t, _ in nf.terms())
                     # The rules' coefficients are +-1 and reduction never divides.
                     assert all(type(c) is int for _, c in nf.terms())
 
@@ -287,7 +337,7 @@ class TestNormalForm:
         assert [normal_form(Polynomial.monomial(w, n=2)) for w in words] == expected
         monkeypatch.undo()
         reduced = [u for u in cache if not u.dd]
-        assert reduced and len(matches) == sum(len(first_redex(u).path) + 1 for u in reduced)
+        assert reduced and len(matches) == sum(len(find_redexes(u)[0].path) + 1 for u in reduced)
 
     def test_every_step_checks_descent(self, monkeypatch):
         w = l_prec(l_prec(x1, x1), x1)
@@ -351,10 +401,14 @@ class TestDeepWords:
     def test_flag_redex_search_and_normal_form(self):
         basis = self.right_chain(x2)
         reducible = self.right_chain(node(PREC, node(PREC, x1, x2), x3))
-        assert is_dd_normal(basis) and not is_dd_normal(reducible)
-        assert first_redex(basis) is None and find_redexes(basis) == []
-        expected = Redex(RuleId.F1, ("R",) * self.DEPTH, (x1, x2, x3))
-        assert first_redex(reducible) == expected
+        assert basis.dd and not reducible.dd
+        assert first_match(basis) is None and find_redexes(basis) == []
+        # No x1 > w level matches a rule, so the reference's first redex is
+        # the bottom's, below the whole chain; the recursive reference itself
+        # would build a path per level.
+        [bottom] = reference_redexes(node(PREC, node(PREC, x1, x2), x3))
+        expected = Redex(bottom.rule, ("R",) * self.DEPTH + bottom.path, bottom.bindings)
+        assert first_match(reducible) == joined(expected)
         assert find_redexes(reducible) == [expected]
         p = Polynomial(3, {basis: 1, reducible: 1})
         assert max_reducible_word(p) is reducible

@@ -1,10 +1,7 @@
-import math
-
 import pytest
 from hypothesis import given
 
 from _strategies import normal_words, reference_is_normal, reference_leaves, tree_words
-from dendriform import terms
 from dendriform.oracle import enumerate_contexts, enumerate_normal_lwords
 from dendriform.terms import (
     PREC,
@@ -241,11 +238,18 @@ class TestCounting:
         for m in range(1, 6):
             assert count_normal_lwords(m, n) == len(enumerate_normal_lwords(m, n).words)
 
-    def test_single_generator_closed_form_to_degree_400(self, monkeypatch):
-        # The table is built cold, bottom up, far past what enumeration reaches.
-        monkeypatch.setattr(terms, "_PAIR_COUNTS", {})
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_matches_top_operation_recursion_to_degree_400(self, n):
+        # The reference splits on the top operation: a SUCC-topped word is
+        # any pair of normal words, a PREC-topped one needs a left factor
+        # that is not SUCC-topped.  Indexed by degree, entry 0 is 0.
+        words, not_succ = [0, n], [0, n]
+        for m in range(2, 401):
+            prec_topped = sum(not_succ[i] * words[m - i] for i in range(1, m))
+            words.append(sum(words[i] * words[m - i] for i in range(1, m)) + prec_topped)
+            not_succ.append(prec_topped)
         for m in range(1, 401):
-            assert count_normal_lwords(m, 1) == math.comb(3 * m - 2, m - 1) // m
+            assert count_normal_lwords(m, n) == words[m]
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
