@@ -2,8 +2,9 @@
 
 Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
 audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error (oracle-dim refuses a degree above 10, and count --enumerate more
-normal words in all than the 836,970 over one generator through degree 10).
+error (oracle-dim refuses a degree above 10, and count --enumerate and
+verify-gsb more normal words in all than the 836,970 over one generator
+through degree 10).
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -78,14 +79,20 @@ def _cmd_reduce(args) -> int:
 _ORACLE_MAX_DEGREE = 10  # (10, 1): 690,690 words, 3,797,472 rows; n >= 2 costs what n = 1 does
 
 
+def _refuse_more_words_than_the_oracle(command: str, args) -> None:
+    """Refuse a run over every normal word through --max-degree over n
+    generators when there are more of them than oracle-dim's words over x1
+    through its ceiling (count --enumerate visits each word; verify-gsb
+    makes about one report per word)."""
+    ceiling = sum(count_normal_lwords(m, 1) for m in range(1, _ORACLE_MAX_DEGREE + 1))
+    sizes = accumulate(count_normal_lwords(m, args.generators) for m in range(1, args.max_degree + 1))
+    if any(size > ceiling for size in sizes):
+        raise _UsageError(f"{command} needs at most {ceiling} normal words through --max-degree")
+
+
 def _cmd_count(args) -> int:
     if args.enumerate:
-        # Enumeration visits every normal word over n generators, so it may
-        # visit as many as oracle-dim's words over x1 through its ceiling.
-        ceiling = sum(count_normal_lwords(m, 1) for m in range(1, _ORACLE_MAX_DEGREE + 1))
-        sizes = accumulate(count_normal_lwords(m, args.generators) for m in range(1, args.max_degree + 1))
-        if any(size > ceiling for size in sizes):
-            raise _UsageError(f"count --enumerate needs at most {ceiling} normal words through --max-degree")
+        _refuse_more_words_than_the_oracle("count --enumerate", args)
     rows = []
     mismatch = False
     for m in range(1, args.max_degree + 1):
@@ -143,14 +150,17 @@ def _cmd_gk(args) -> int:
 def _cmd_verify_gsb(args) -> int:
     if args.max_degree < 3:
         raise _UsageError("verification needs --max-degree at least 3")
-    reports = []
-    reports += gsbcheck.right_mult_sweep(args.max_degree, args.generators)
-    reports += gsbcheck.check_local_confluence(args.max_degree, args.generators)
+    _refuse_more_words_than_the_oracle("verify-gsb", args)
+    blocks = [
+        gsbcheck.right_mult_sweep(args.max_degree, args.generators),
+        gsbcheck.check_local_confluence(args.max_degree, args.generators),
+    ]
     if args.named_cases:
-        reports += gsbcheck.check_named_cases(args.generators)
+        blocks.append(gsbcheck.check_named_cases(args.generators))
+    reports = [r for block in blocks for r in block]
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        _emit_json([r.to_json_dict() for r in reports])
+        _emit_json([r.to_json_dict() for block in blocks for r in sorted(block, key=gsbcheck._report_sort_key)])
     else:
         for kind in ("inclusion", "right_mult"):
             group = [r for r in reports if r.kind == kind]

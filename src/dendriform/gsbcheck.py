@@ -79,6 +79,7 @@ class CompositionReport:
 
 
 def _report_sort_key(report: CompositionReport):
+    """The order of reports in JSON output; no two reports of one sweep share a key."""
     return (
         report.ambiguity_word,
         report.kind,
@@ -159,17 +160,15 @@ def _redex_pairs(words):
 
 
 def _normal_words_from_degree_3(max_degree: int, n: int):
-    # Ascending, so the reports of a sweep come out in presorted runs.
     for m in range(3, max_degree + 1):
-        yield from reversed(enumerate_normal_lwords(m, n).words)
+        yield from enumerate_normal_lwords(m, n).words
 
 
 def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:
     """Check every redex pair of every normal word up to the degree bound.
 
     Each multiply-reducible word is an ambiguity; equal normal forms of the
-    two one-step reducts certify the pair.  Reports come back sorted by
-    ambiguity word.
+    two one-step reducts certify the pair.
     """
     if max_degree < 3:
         raise ValueError("redexes need degree at least 3")
@@ -201,13 +200,13 @@ def _relabeler(n: int):
 
 def _relabeled(reports: list[CompositionReport], n: int) -> list[CompositionReport]:
     """Reports over x1 relabeled into every leaf sequence over n
-    generators, sorted.
+    generators.
 
     The ambiguity word, the greatest intermediate and every residual word
     of a report share their degree, and each takes the same leaf sequence.
     """
     if n == 1:
-        return sorted(reports, key=_report_sort_key)
+        return reports
     relabel = _relabeler(n)
     zero = Polynomial.zero(n)  # immutable, so the passing reports share it
     out = []
@@ -226,7 +225,6 @@ def _relabeled(reports: list[CompositionReport], n: int) -> list[CompositionRepo
                     paths=r.paths,
                 )
             )
-    out.sort(key=_report_sort_key)
     return out
 
 
@@ -262,9 +260,7 @@ def named_ambiguity_words(n: int) -> dict[str, LWord]:
 def check_named_cases(n: int) -> list[CompositionReport]:
     """Check every redex pair of the three named overlap shapes."""
     pairs = _redex_pairs(named_ambiguity_words(n).values())
-    reports = [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]
-    reports.sort(key=_report_sort_key)
-    return reports
+    return [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]
 
 
 def classify_redex_pair(r1: Redex, r2: Redex) -> str:

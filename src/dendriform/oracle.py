@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Coefficient, Polynomial, fold_hole_path, hole_path
+from .poly import Coefficient, fold_hole_path, hole_path
 from .poly import apply_context  # noqa: F401  bench/tracing.py rebinds oracle.apply_context
 from .rewrite import RuleId, rule_polynomial
 from .terms import PREC, SUCC, Context, LWord, generator, hole, node
@@ -240,21 +240,6 @@ def reduce_vector(vec, pivots) -> dict[int, Coefficient]:
             elif c in r:
                 del r[c]
     return r
-
-
-def coordinates(p: Polynomial, index: EnumerationIndex) -> dict[int, Coefficient]:
-    """Sparse coordinate vector of a degree-homogeneous polynomial."""
-    vec = {}
-    for w, a in p._terms.items():
-        pos = index.position.get(w)
-        if pos is None:
-            raise ValueError(f"word {w} is not in the degree-{index.degree} index")
-        vec[pos] = a
-    return vec
-
-
-def vector_in_row_space(matrix: RelationMatrix, vec) -> bool:
-    return not reduce_vector(vec, matrix.pivots)
 
 
 def quotient_dim(m: int, n: int, include_f3: bool = False) -> int:

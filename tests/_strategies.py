@@ -8,7 +8,6 @@ from dendriform.gsbcheck import (
     _check_pair,
     _normal_words_from_degree_3,
     _redex_pairs,
-    _report_sort_key,
     _right_mult_instances,
     check_right_mult,
 )
@@ -97,12 +96,11 @@ def reference_redexes(u, path=()):
 def reference_right_mult_sweep(max_total_degree, n):
     """Every right-multiplication composition checked directly over n
     generators, with no relabeling: the reference for ``right_mult_sweep``."""
-    reports = [check_right_mult(rule, b, v, n=n) for rule, b, v in _right_mult_instances(max_total_degree, n)]
-    return sorted(reports, key=_report_sort_key)
+    return [check_right_mult(rule, b, v, n=n) for rule, b, v in _right_mult_instances(max_total_degree, n)]
 
 
 def reference_local_confluence(max_degree, n):
     """Every redex pair of every normal word checked directly over n
     generators, with no relabeling: the reference for ``check_local_confluence``."""
     pairs = _redex_pairs(_normal_words_from_degree_3(max_degree, n))
-    return sorted((_check_pair(w, r1, r2, n) for w, r1, r2 in pairs), key=_report_sort_key)
+    return [_check_pair(w, r1, r2, n) for w, r1, r2 in pairs]

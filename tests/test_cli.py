@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from dendriform import gsbcheck
 from dendriform.cli import main
+from dendriform.terms import compare, parse_lword
 
 
 def run(capsys, *argv):
@@ -85,19 +87,32 @@ def test_oracle_dim_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch
     assert err == "usage error: oracle-dim needs --degree at most 10\n"
 
 
-@pytest.mark.parametrize("n,max_degree", [("2", "8"), ("3", "7")])
-def test_count_enumerate_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch, n, max_degree):
-    # 6,005,250 and 9,044,913 normal words in all, over the 836,970 over x1
-    # through oracle-dim's degree ceiling; (7, 2) and (6, 3) stay below it.
+@pytest.mark.parametrize(
+    "command,n,max_degree",
+    [
+        (("count", "--enumerate"), "2", "8"),
+        (("count", "--enumerate"), "3", "7"),
+        (("verify-gsb",), "1", "11"),
+        (("verify-gsb",), "2", "8"),
+        (("verify-gsb",), "3", "7"),
+    ],
+    ids=["2-8", "3-7", "verify-gsb-1-11", "verify-gsb-2-8", "verify-gsb-3-7"],
+)
+def test_count_enumerate_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch, command, n, max_degree):
+    # 6,005,250, 9,044,913 and 4,868,985 normal words in all, over the
+    # 836,970 over x1 through oracle-dim's degree ceiling; (10, 1), (7, 2),
+    # (6, 3) and (5, 4) stay below it.
     from dendriform import oracle
 
-    def no_enumeration(*args):
-        raise AssertionError("count enumerated before refusing the size")
+    def no_work(*args):
+        raise AssertionError(f"{command[0]} started work before refusing the size")
 
-    monkeypatch.setattr(oracle, "enumerate_normal_lwords", no_enumeration)
-    code, out, err = run(capsys, "count", "--generators", n, "--max-degree", max_degree, "--enumerate")
+    monkeypatch.setattr(oracle, "enumerate_normal_lwords", no_work)
+    for sweep in ("right_mult_sweep", "check_local_confluence", "check_named_cases"):
+        monkeypatch.setattr(gsbcheck, sweep, no_work)
+    code, out, err = run(capsys, command[0], "--generators", n, "--max-degree", max_degree, *command[1:])
     assert code == 2 and out == ""
-    assert err == "usage error: count --enumerate needs at most 836970 normal words through --max-degree\n"
+    assert err == f"usage error: {' '.join(command)} needs at most 836970 normal words through --max-degree\n"
 
 
 @pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])
@@ -198,6 +213,31 @@ class TestVerification:
         reports = json.loads(out)
         assert reports and all(r["ok"] for r in reports)
         assert {r["kind"] for r in reports} == {"right_mult", "inclusion"}
+
+    def test_verify_gsb_json_blocks_print_sorted(self, capsys):
+        # Right multiplications, then inclusions, then the named cases: each
+        # block in nondecreasing ambiguity word.
+        code, out, _ = run(
+            capsys, "verify-gsb", "--generators", "2", "--max-degree", "5", "--named-cases", "--format", "json"
+        )
+        assert code == 0
+        words = [parse_lword(r["ambiguity"]) for r in json.loads(out)]
+        sizes = [len(gsbcheck.right_mult_sweep(5, 2)), len(gsbcheck.check_local_confluence(5, 2)), 5]
+        assert len(words) == sum(sizes)
+        for start, size in zip((0, sizes[0], sizes[0] + sizes[1]), sizes):
+            block = words[start : start + size]
+            assert all(compare(u, v) <= 0 for u, v in zip(block, block[1:]))
+
+    def test_verify_gsb_sorts_only_for_json(self, capsys, monkeypatch):
+        def no_sort(report):
+            raise AssertionError("reports sorted outside the JSON printer")
+
+        monkeypatch.setattr(gsbcheck, "_report_sort_key", no_sort)
+        assert gsbcheck.right_mult_sweep(5, 2) and gsbcheck.check_local_confluence(5, 2)
+        assert len(gsbcheck.check_named_cases(2)) == 5
+        code, out, err = run(capsys, "verify-gsb", "--generators", "2", "--max-degree", "5", "--named-cases")
+        assert code == 0 and err == ""
+        assert out == "inclusion: 1093/1093 ok\nright_mult: 304/304 ok\noverall: ok\n"
 
     def test_oracle_dim(self, capsys):
         code, out, _ = run(

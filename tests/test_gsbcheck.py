@@ -5,6 +5,7 @@ from dendriform import gsbcheck
 from dendriform.audit import _collapser, _leaf_sequence
 from dendriform.gsbcheck import (
     CompositionReport,
+    _report_sort_key,
     check_local_confluence,
     check_named_cases,
     check_right_mult,
@@ -71,12 +72,10 @@ class TestLocalConfluence:
             if report.max_intermediate is not None:
                 assert compare(report.max_intermediate, report.ambiguity_word) == -1
 
-    def test_reports_sorted_and_deterministic(self):
+    def test_reports_deterministic(self):
         a = check_local_confluence(5, 1)
         b = check_local_confluence(5, 1)
         assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
-        words = [r.ambiguity_word for r in a]
-        assert words == sorted(words)
 
     def test_degree_bound_validation(self):
         with pytest.raises(ValueError):
@@ -147,8 +146,12 @@ class TestRelabeling:
         ids=["right_mult", "local_confluence"],
     )
     def test_matches_the_direct_sweep(self, sweep, reference, max_degree, n):
-        relabeled = [r.to_json_dict() for r in sweep(max_degree, n)]
-        assert relabeled == [r.to_json_dict() for r in reference(max_degree, n)]
+        # The two sweeps find the reports in different orders; the sort key
+        # is unique on every report, so sorting pairs them one to one.
+        reports = sorted(sweep(max_degree, n), key=_report_sort_key)
+        assert len({_report_sort_key(r) for r in reports}) == len(reports)
+        relabeled = [r.to_json_dict() for r in reports]
+        assert relabeled == [r.to_json_dict() for r in sorted(reference(max_degree, n), key=_report_sort_key)]
 
     def test_a_failure_over_x1_fails_in_every_block(self, monkeypatch):
         # Leave a residual on one pair of one ambiguity over x1; the sweep
