@@ -2,9 +2,10 @@
 
 Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
 audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error (oracle-dim refuses a degree above 10, and count --enumerate and
+error (oracle-dim refuses a degree above 10, count --enumerate and
 verify-gsb more normal words in all than the 836,970 over one generator
-through degree 10).
+through degree 10, and count and hilbert a value with more digits than the
+interpreter's int-to-text limit, sys.get_int_max_str_digits).
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -90,9 +91,19 @@ def _refuse_more_words_than_the_oracle(command: str, args) -> None:
         raise _UsageError(f"{command} needs at most {ceiling} normal words through --max-degree")
 
 
+def _refuse_more_digits_than_str_allows(command: str, largest: int) -> None:
+    """Refuse, before any output, a run whose largest printed value has more
+    digits than the interpreter turns into text (str() itself would raise;
+    a limit of 0, or none at all before CPython 3.10.7, is unlimited)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and largest >= 10**limit:
+        raise _UsageError(f"{command} needs values of at most {limit} digits (sys.get_int_max_str_digits) through --max-degree")
+
+
 def _cmd_count(args) -> int:
     if args.enumerate:
         _refuse_more_words_than_the_oracle("count --enumerate", args)
+    _refuse_more_digits_than_str_allows("count", count_normal_lwords(args.max_degree, args.generators))
     rows = []
     mismatch = False
     for m in range(1, args.max_degree + 1):
@@ -122,6 +133,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    _refuse_more_digits_than_str_allows("hilbert", series.dim_closed(args.max_degree, args.generators))
     try:
         table = series.dimension_table(args.max_degree, args.generators, args.method)
     except RuntimeError as exc:

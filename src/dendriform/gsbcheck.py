@@ -208,7 +208,6 @@ def _relabeled(reports: list[CompositionReport], n: int) -> list[CompositionRepo
     if n == 1:
         return reports
     relabel = _relabeler(n)
-    zero = Polynomial.zero(n)  # immutable, so the passing reports share it
     out = []
     for r in reports:
         intermediates = None if r.max_intermediate is None else relabel(r.max_intermediate)
@@ -219,7 +218,7 @@ def _relabeled(reports: list[CompositionReport], n: int) -> list[CompositionRepo
                     kind=r.kind,
                     rules=r.rules,
                     ambiguity_word=word,
-                    residual=Polynomial._raw(n, {ws[i]: c for ws, c in residuals}) if residuals else zero,
+                    residual=Polynomial._raw(n, {ws[i]: c for ws, c in residuals}) if residuals else Polynomial.zero(n),
                     ok=r.ok,
                     max_intermediate=None if intermediates is None else intermediates[i],
                     paths=r.paths,

@@ -12,6 +12,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Mapping
 
 from .terms import (
@@ -98,7 +99,9 @@ class Polynomial:
         return p
 
     @classmethod
+    @cache
     def zero(cls, n: int) -> "Polynomial":
+        """The zero polynomial over x1..xn: one instance per n, shared since values are immutable."""
         if n < 1:
             raise ValueError("alphabet size must be at least 1")
         return cls._raw(n, {})

@@ -11,8 +11,9 @@ A normal word containing no occurrence of a left-side shape is a normal
 DD-word; those words form a basis of the free dendriform algebra, and
 ``normal_form`` rewrites any polynomial onto it.  Whether a word is a
 DD-word is the ``dd`` flag every word carries from the terms module, so the
-redex searches below skip every subterm already on the basis and the first
-redex is found by walking down a single path.  Every rewrite step
+redex searches below skip every subterm already on the basis, the first
+redex is found by walking down a single path, and only words off the basis
+have their normal forms cached.  Every rewrite step
 replaces one word by a combination of strictly smaller words (checked at
 each step), so reduction terminates; confluence is verified exhaustively
 at bounded degree by the companion basis-check module.
@@ -211,28 +212,25 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     return Polynomial._raw(n, _fold_step(u, redex.rule, redex.bindings, ancestors, redex.path))
 
 
-# Every rule coefficient is +-1 and rewriting never divides, so cached
-# normal forms hold plain ints.
+# Normal forms of words off the basis; a basis word is its own normal form,
+# which its dd flag already says.  Every rule coefficient is +-1 and
+# rewriting never divides, so cached normal forms hold plain ints.
 _NF_CACHE: dict[LWord, dict[LWord, int]] = {}
 
 
 # Recurses per step of a rewrite chain, not per level of u: depth 14 on the reduce benchmark.
 def _nf_word(u: LWord) -> dict[LWord, int]:
+    if u.dd:
+        return {u: 1}
     res = _NF_CACHE.get(u)
-    if res is not None:
-        return res
-    found = _first_match(u)
-    if found is None:
-        res = {u: 1}
-    else:
+    if res is None:
         # The walk that found the redex hands its ancestors straight to the
         # fold, so the path is not walked or matched a second time.
-        acc: dict[LWord, int] = {}
-        for w, c in _fold_step(u, *found).items():
+        res = {}
+        for w, c in _fold_step(u, *_first_match(u)).items():
             for w2, c2 in _nf_word(w).items():
-                _accumulate(acc, w2, c * c2)
-        res = acc
-    _NF_CACHE[u] = res
+                _accumulate(res, w2, c * c2)
+        _NF_CACHE[u] = res
     return res
 
 
@@ -249,7 +247,7 @@ def normal_form(p: Polynomial) -> Polynomial:
     for u, a in p._terms.items():
         for w, c in _nf_word(u).items():
             _accumulate(acc, w, a * c)
-    return Polynomial._raw(p.n, acc)
+    return Polynomial._raw(p.n, acc) if acc else Polynomial.zero(p.n)
 
 
 def max_reducible_word(p: Polynomial) -> LWord | None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -113,6 +114,30 @@ def test_count_enumerate_beyond_the_ceiling_exits_2_with_one_line(capsys, monkey
     code, out, err = run(capsys, command[0], "--generators", n, "--max-degree", max_degree, *command[1:])
     assert code == 2 and out == ""
     assert err == f"usage error: {' '.join(command)} needs at most 836970 normal words through --max-degree\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit before CPython 3.10.7")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command,boundary",
+    [(("count",), 493), (("hilbert", "--method", "closed"), 597)],
+    ids=["count", "hilbert"],
+)
+def test_count_and_hilbert_beyond_the_digit_limit_exit_2_with_one_line(capsys, command, boundary, fmt):
+    # Under a 640-digit limit, count's largest value over x1..x3 (the normal
+    # words of the top degree) has exactly 640 digits at degree 493 and
+    # hilbert's (the top dimension) at 597; one degree more is refused.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = (command[0], "--generators", "3", "--format", fmt, *command[1:])
+        code, out, err = run(capsys, *argv, "--max-degree", str(boundary + 1))
+        assert code == 2 and out == ""
+        assert err == f"usage error: {command[0]} needs values of at most 640 digits (sys.get_int_max_str_digits) through --max-degree\n"
+        code, out, err = run(capsys, *argv, "--max-degree", str(boundary))
+        assert code == 0 and err == "" and out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])

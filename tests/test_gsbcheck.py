@@ -86,6 +86,21 @@ class TestLocalConfluence:
             assert all(type(c) is int for _, c in report.residual.terms())
 
 
+@pytest.mark.parametrize(
+    "sweep,n",
+    [
+        (lambda: right_mult_sweep(6, 1), 1),
+        (lambda: check_local_confluence(6, 1), 1),
+        (lambda: check_local_confluence(5, 2), 2),
+        (lambda: check_named_cases(3), 3),
+    ],
+    ids=["right-mult-6-1", "confluence-6-1", "confluence-5-2", "named-3"],
+)
+def test_passing_reports_share_the_one_zero(sweep, n):
+    passing = [r for r in sweep() if r.ok]
+    assert passing and all(r.residual is Polynomial.zero(n) for r in passing)
+
+
 class TestNamedCases:
     def test_shapes(self):
         words = named_ambiguity_words(6)

@@ -7,7 +7,7 @@ from hypothesis import given
 from _strategies import normal_words, polynomials, spliced
 from dendriform.oracle import enumerate_contexts
 from dendriform.poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
-from dendriform.rewrite import RuleId, rule_polynomial
+from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.terms import (
     PREC,
     SUCC,
@@ -54,6 +54,20 @@ class TestVectorSpace:
     def test_words_must_be_normal(self):
         with pytest.raises(ValueError):
             Polynomial(2, [(node(PREC, node(SUCC, x1, x2), x1), 1)])
+
+
+class TestZero:
+    def test_one_shared_instance_per_alphabet(self):
+        z = Polynomial.zero(2)
+        assert z is Polynomial.zero(2) and z is not Polynomial.zero(3)
+        p = mono(l_prec(x1, x2), n=2)
+        assert z + p == p and p + z == p and z - p == -p and p - z == p
+        assert (z * 3).is_zero and (Fraction(2, 3) * z).is_zero and (-z).is_zero
+        assert mul(z, PREC, p).is_zero and mul(p, SUCC, z).is_zero
+        assert normal_form(z) is z and normal_form(p - p) is z
+        assert z._terms == {} and z.is_zero
+        with pytest.raises(ValueError):
+            Polynomial.zero(0)
 
 
 class TestMul:

@@ -339,6 +339,23 @@ class TestNormalForm:
         reduced = [u for u in cache if not u.dd]
         assert reduced and len(matches) == sum(len(find_redexes(u)[0].path) + 1 for u in reduced)
 
+    def test_only_words_off_the_basis_are_cached(self, monkeypatch):
+        # A basis word is its own normal form, which its dd flag says, so
+        # none is cached: not the small ones, not a depth-600 > chain.
+        chain = x1
+        bottom = node(PREC, node(PREC, x1, x2), x3)
+        for _ in range(600):
+            chain, bottom = node(SUCC, x1, chain), node(SUCC, x1, bottom)
+        basis = [w for m in range(1, 6) for w in enumerate_dd_words(m, 2)] + [chain]
+        off = [w for m in range(3, 6) for w in enumerate_normal_lwords(m, 2).words if not w.dd] + [bottom]
+        cache = {}
+        monkeypatch.setattr(rewrite, "_NF_CACHE", cache)
+        normal_form(Polynomial(3, {w: k for k, w in enumerate(basis + off, 1)}))
+        assert bottom in cache and not any(u.dd for u in cache)
+        for w in basis:
+            assert normal_form(Polynomial.monomial(w, n=3))._terms == {w: 1}
+        assert not any(u.dd for u in cache)
+
     def test_every_step_checks_descent(self, monkeypatch):
         w = l_prec(l_prec(x1, x1), x1)
         monkeypatch.setattr(rewrite, "_NF_CACHE", {})
