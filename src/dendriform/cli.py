@@ -2,10 +2,11 @@
 
 Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
 audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error (oracle-dim refuses a degree above 10, count --enumerate and
-verify-gsb more normal words in all than the 836,970 over one generator
-through degree 10, and count and hilbert a value with more digits than the
-interpreter's int-to-text limit, sys.get_int_max_str_digits).
+error (oracle-dim refuses a degree above 10, hilbert one above 3000,
+count --enumerate and verify-gsb more normal words in all than the 836,970
+over one generator through degree 10, and count and hilbert a value with
+more digits than the interpreter's int-to-text limit,
+sys.get_int_max_str_digits).
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -63,17 +64,22 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    # Nothing prints until every line has reduced, so a bad line exits 2
+    # with empty stdout; only the printed form of each result is kept, so
+    # its words, and their normal forms, die as the run goes.
     results = []
     for text in _read_expressions(args):
         word = normalize(parse_lword(text, args.generators))
-        n = args.generators
-        reduced = normal_form(Polynomial.monomial(word, n=n))
-        results.append({"input": text, "normal_form": reduced})
+        reduced = normal_form(Polynomial.monomial(word, n=args.generators))
+        if args.format == "json":
+            results.append({"input": text, "normal_form": reduced.to_json_dict()})
+        else:
+            results.append(str(reduced))
     if args.format == "json":
-        _emit_json([{"input": r["input"], "normal_form": r["normal_form"].to_json_dict()} for r in results])
+        _emit_json(results)
     else:
-        for row in results:
-            print(str(row["normal_form"]))
+        for line in results:
+            print(line)
     return 0
 
 
@@ -132,7 +138,19 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# hilbert's default --method all is as slow as its recursive column, whose
+# convolution of ever longer integers grows about as the 3.5th power of
+# --max-degree.  Measured over x1 (2 vCPU, CPython 3.11.7), the recursive
+# column took 0.7, 4.4, 18.9 and 66 s through degree 1000, 2000, 3000 and
+# 4000, the closed one 0.2, 0.6, 1.7 and 4.5 s, the gf one at most 0.6 s.
+# Through 3000 --method all took 20.5 s over x1 and 24.2 s over x1..x6, the
+# largest alphabet whose values at 3000 pass the int-to-text limit.
+_HILBERT_MAX_DEGREE = 3000
+
+
 def _cmd_hilbert(args) -> int:
+    if args.max_degree > _HILBERT_MAX_DEGREE:
+        raise _UsageError(f"hilbert needs --max-degree at most {_HILBERT_MAX_DEGREE}")
     _refuse_more_digits_than_str_allows("hilbert", series.dim_closed(args.max_degree, args.generators))
     try:
         table = series.dimension_table(args.max_degree, args.generators, args.method)

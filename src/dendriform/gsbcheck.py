@@ -46,7 +46,7 @@ from .terms import PREC, SUCC, LWord, compare, generator, max_generator_index, n
 RIGHT_MULT_RULES = (RuleId.F2, RuleId.F3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositionReport:
     """Outcome of one composition check.
 

@@ -12,8 +12,10 @@ DD-word; those words form a basis of the free dendriform algebra, and
 ``normal_form`` rewrites any polynomial onto it.  Whether a word is a
 DD-word is the ``dd`` flag every word carries from the terms module, so the
 redex searches below skip every subterm already on the basis, the first
-redex is found by walking down a single path, and only words off the basis
-have their normal forms cached.  Every rewrite step
+redex is found by walking down a single path, and a word off the basis
+keeps its normal form in its ``nf`` slot, so under the weak intern table a
+normal form dies with its word.  The intermediate words of a reduction
+live only until its ``normal_form`` call returns.  Every rewrite step
 replaces one word by a combination of strictly smaller words (checked at
 each step), so reduction terminates; confluence is verified exhaustively
 at bounded degree by the companion basis-check module.
@@ -212,40 +214,43 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     return Polynomial._raw(n, _fold_step(u, redex.rule, redex.bindings, ancestors, redex.path))
 
 
-# Normal forms of words off the basis; a basis word is its own normal form,
-# which its dd flag already says.  Every rule coefficient is +-1 and
-# rewriting never divides, so cached normal forms hold plain ints.
+# Never written: normal forms live on their words (see _nf_word).  It stays
+# bound, always empty, because bench/tracing.py reports its size.
 _NF_CACHE: dict[LWord, dict[LWord, int]] = {}
 
 
 # Recurses per step of a rewrite chain, not per level of u: depth 14 on the reduce benchmark.
-def _nf_word(u: LWord) -> dict[LWord, int]:
+def _nf_word(u: LWord, keep: list) -> dict[LWord, int]:
     if u.dd:
         return {u: 1}
-    res = _NF_CACHE.get(u)
-    if res is None:
+    if u.nf is None:
         # The walk that found the redex hands its ancestors straight to the
         # fold, so the path is not walked or matched a second time.
+        steps = _fold_step(u, *_first_match(u))
+        keep.append(steps)
         res = {}
-        for w, c in _fold_step(u, *_first_match(u)).items():
-            for w2, c2 in _nf_word(w).items():
+        for w, c in steps.items():
+            for w2, c2 in _nf_word(w, keep).items():
                 _accumulate(res, w2, c * c2)
-        _NF_CACHE[u] = res
-    return res
+        # Every rule coefficient is +-1 and rewriting never divides, so res holds ints.
+        u.nf = res
+    return u.nf
 
 
 def normal_form(p: Polynomial) -> Polynomial:
     """Canonical form of p modulo the three rules.
 
-    Each word is reduced at its preorder-first redex until redex free, with
-    per-word results shared across the whole polynomial; the extension to
-    polynomials is linear.  The result is strategy independent (verified
-    exhaustively at desk scale by the basis checks) and preserves the
-    degree decomposition.
+    Each word is reduced at its preorder-first redex until redex free; the
+    extension to polynomials is linear.  A word keeps its normal form while
+    it lives, and the words its reduction steps through live until the call
+    returns, so a step shared within one call is reduced once.  The result
+    is strategy independent (verified exhaustively at desk scale by the
+    basis checks) and preserves the degree decomposition.
     """
     acc: dict[LWord, Coefficient] = {}
+    keep = []  # every rewrite step of this call, which holds its words alive
     for u, a in p._terms.items():
-        for w, c in _nf_word(u).items():
+        for w, c in _nf_word(u, keep).items():
             _accumulate(acc, w, a * c)
     return Polynomial._raw(p.n, acc) if acc else Polynomial.zero(p.n)
 

@@ -16,6 +16,12 @@ dendriform basis, that is (for a normal word) whether no subterm matches a
 rewrite rule's left side.  The rules themselves live in the rewrite module,
 which reads the flag.  No function here recurses on the depth of a word.
 
+Interning is weak: the intern table refers to each composite word through a
+weak reference, so a word is freed, and leaves the table, as soon as nothing
+else holds it.  Identity still decides equality among live words: while a
+word lives, the table returns it for its structure, and a word built again
+after it died is a new object that every later build returns.
+
 The expression grammar is::
 
     word      := generator | "(" word op word ")"
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -58,10 +65,11 @@ class ParseError(ValueError):
 class LWord:
     """An immutable binary tree over the alphabet; leaves are generators.
 
-    Words are interned: structurally identical words are always the same
-    object, so equality and hashing are identity based and O(1).  Use the
-    module factories ``generator``, ``hole`` and ``node`` (or the products
-    ``l_succ``/``l_prec``) to build words; never call the class directly.
+    Words are interned: structurally identical live words are always the
+    same object, so equality and hashing are identity based and O(1).  Use
+    the module factories ``generator``, ``hole`` and ``node`` (or the
+    products ``l_succ``/``l_prec``) to build words; never call the class
+    directly.
 
     The comparison operators implement the monomial order on normal words:
     degree decides first, composite words of equal degree compare by top
@@ -76,9 +84,12 @@ class LWord:
     is; any other word is only when it is (x > w1) > w2 with x a leaf and
     w1, w2 on the basis.  No word with the flag set carries a redex, and a
     normal word without it carries one.
+
+    ``nf`` is None until the rewrite module stores the word's normal form
+    there, which then lives exactly as long as the word.
     """
 
-    __slots__ = ("op", "left", "right", "index", "degree", "dd", "normal", "holes")
+    __slots__ = ("op", "left", "right", "index", "degree", "dd", "normal", "holes", "nf", "__weakref__")
 
     def __init__(self, op, left, right, index, degree, dd, normal, holes):
         self.op = op
@@ -89,6 +100,7 @@ class LWord:
         self.dd = dd
         self.normal = normal
         self.holes = holes
+        self.nf = None
 
     def __lt__(self, other: "LWord") -> bool:
         return compare(self, other) < 0
@@ -122,8 +134,23 @@ class LWord:
         return (node, (self.op, self.left, self.right))
 
 
+class _Interned(weakref.ref):
+    """The intern table's weak reference to a word; it carries its own key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Interned) -> None:
+    # Called as the word dies.  A word built again under the same key may
+    # already have replaced the entry; only this reference's entry goes.
+    if _NODE_CACHE.get(ref.key) is ref:
+        del _NODE_CACHE[ref.key]
+
+
+# Leaves are few and live for the whole process; composite words are held
+# weakly, through (op, left, right) -> _Interned.
 _LEAF_CACHE: dict[int, LWord] = {}
-_NODE_CACHE: dict[tuple[Op, LWord, LWord], LWord] = {}
+_NODE_CACHE: dict[tuple[Op, LWord, LWord], _Interned] = {}
 
 
 def _leaf(index: int) -> LWord:
@@ -149,7 +176,8 @@ def hole() -> LWord:
 def node(op: Op, left: LWord, right: LWord) -> LWord:
     """Raw tree constructor; does not re-express anything in the basis."""
     key = (op, left, right)
-    w = _NODE_CACHE.get(key)
+    ref = _NODE_CACHE.get(key)
+    w = None if ref is None else ref()
     if w is None:
         # With left = x > w1 and x a leaf, left.dd is w1's flag.
         dd = right.dd and (
@@ -158,7 +186,9 @@ def node(op: Op, left: LWord, right: LWord) -> LWord:
         normal = left.normal and right.normal and not (op is PREC and left.op is SUCC)
         index = left.index if left.index > right.index else right.index
         w = LWord(op, left, right, index, left.degree + right.degree, dd, normal, left.holes + right.holes)
-        _NODE_CACHE[key] = w
+        ref = _Interned(w, _forget)
+        ref.key = key
+        _NODE_CACHE[key] = ref
     return w
 
 

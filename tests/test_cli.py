@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import math
 import sys
+import weakref
 
 import pytest
 
@@ -46,8 +48,6 @@ class TestNormalize:
         assert json.loads(out) == [{"input": "((x1 > x2) < x3)", "normal": "(x1 > (x2 < x3))"}]
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("x1\n((x1 > x2) < x3)\n\n"))
         code, out, _ = run(capsys, "normalize", "--stdin")
         assert code == 0
@@ -140,6 +140,26 @@ def test_count_and_hilbert_beyond_the_digit_limit_exit_2_with_one_line(capsys, c
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("method", ["all", "recursive", "closed", "gf"])
+def test_hilbert_beyond_the_degree_ceiling_exits_2_with_one_line(capsys, monkeypatch, method, fmt):
+    from dendriform import series
+
+    tables = []
+
+    def no_table(*args):
+        tables.append(args)
+        return series.DimensionTable(n=args[1], rows=())
+
+    monkeypatch.setattr(series, "dimension_table", no_table)
+    argv = ("hilbert", "--generators", "1", "--method", method, "--format", fmt, "--max-degree")
+    code, out, err = run(capsys, *argv, "3001")
+    assert code == 2 and out == "" and tables == []
+    assert err == "usage error: hilbert needs --max-degree at most 3000\n"
+    code, out, err = run(capsys, *argv, "3000")
+    assert code == 0 and err == "" and tables == [(3000, 1, method)]
+
+
 @pytest.mark.parametrize("text", ["x1²", "x" + "9" * 5000], ids=["superscript-digit", "5000-digit-index"])
 def test_bad_generator_digits_exit_2_with_one_line(capsys, text):
     code, out, err = run(capsys, "normalize", text)
@@ -171,6 +191,37 @@ class TestReduce:
             {"coeff": "1", "word": "(x1 < (x2 > x3))"},
         ]
 
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("bad", ["((x1 < x2) <", "x4"], ids=["unclosed", "generator-bound"])
+    def test_a_bad_line_exits_2_with_empty_stdout(self, capsys, monkeypatch, fmt, bad):
+        # The good line before the bad one is reduced but never printed.
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"((x1 < x2) < x3)\n{bad}\n(x1 > x2)\n"))
+        code, out, err = run(capsys, "reduce", "--stdin", "--generators", "3", "--format", fmt)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_keeps_only_what_it_prints(self, capsys, monkeypatch, fmt):
+        # While the k-th expression reduces, every word of the expressions
+        # before the (k-1)-th, input and normal form, is already dead.  No
+        # other test holds words over x7..x9.
+        from dendriform import cli
+
+        exprs = ["(((x7 < x8) < x9) < x7)", "((x8 < x9) < (x7 > x8))", "(((x9 < x7) < x8) < x9)", "((x7 < x7) > x9)"]
+        expected = run(capsys, "reduce", "--format", fmt, *exprs)
+        calls = []
+        real = cli.normal_form
+
+        def spy(p):
+            assert all(r() is None for refs in calls[:-1] for r in refs)
+            result = real(p)
+            calls.append([weakref.ref(w) for w in (*p._terms, *result._terms)])
+            return result
+
+        monkeypatch.setattr(cli, "normal_form", spy)
+        assert run(capsys, "reduce", "--format", fmt, *exprs) == expected
+        assert len(calls) == 4 and expected[0] == 0
 
 class TestTables:
     def test_hilbert_all_methods(self, capsys):

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from _strategies import polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
-from dendriform import rewrite
+from dendriform import rewrite, terms
 from dendriform.oracle import binding_tuples, enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
 from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
@@ -41,6 +42,7 @@ from dendriform.terms import (
 )
 
 x1, x2, x3, x4 = (generator(i) for i in range(1, 5))
+x7, x8, x9 = (generator(i) for i in range(7, 10))
 
 
 def mono(word, coeff=1, n=4):
@@ -321,10 +323,14 @@ class TestNormalForm:
     def test_steps_fold_from_the_first_redex_walk(self, monkeypatch):
         # normal_form matches the rules once per word on the one path to
         # the first redex, and folds the step up the ancestors it passed;
-        # it never walks or matches the path a second time.
+        # it never walks or matches the path a second time.  The step words
+        # of a normal word over x1, x2 are normal words of its degree over
+        # x1, x2, so clearing every enumerated word's stored normal form
+        # makes the second pass reduce every word off the basis afresh.
         words = [w for m in range(1, 6) for w in enumerate_normal_lwords(m, 2).words]
         expected = [normal_form(Polynomial.monomial(w, n=2)) for w in words]
-        cache = {}
+        for w in words:
+            monkeypatch.setattr(w, "nf", None)
         matches = []
         real = rewrite.match_rule_at
 
@@ -332,36 +338,80 @@ class TestNormalForm:
             matches.append(u)
             return real(u)
 
-        monkeypatch.setattr(rewrite, "_NF_CACHE", cache)
         monkeypatch.setattr(rewrite, "match_rule_at", counted)
         assert [normal_form(Polynomial.monomial(w, n=2)) for w in words] == expected
+        reduced = [u for u in words if u.nf is not None]
         monkeypatch.undo()
-        reduced = [u for u in cache if not u.dd]
-        assert reduced and len(matches) == sum(len(find_redexes(u)[0].path) + 1 for u in reduced)
+        assert reduced == [u for u in words if not u.dd]
+        assert len(matches) == sum(len(find_redexes(u)[0].path) + 1 for u in reduced)
 
-    def test_only_words_off_the_basis_are_cached(self, monkeypatch):
+    def test_only_words_off_the_basis_are_cached(self):
         # A basis word is its own normal form, which its dd flag says, so
-        # none is cached: not the small ones, not a depth-600 > chain.
+        # none stores one: not the small ones, not a depth-600 > chain.
         chain = x1
         bottom = node(PREC, node(PREC, x1, x2), x3)
         for _ in range(600):
             chain, bottom = node(SUCC, x1, chain), node(SUCC, x1, bottom)
         basis = [w for m in range(1, 6) for w in enumerate_dd_words(m, 2)] + [chain]
         off = [w for m in range(3, 6) for w in enumerate_normal_lwords(m, 2).words if not w.dd] + [bottom]
-        cache = {}
-        monkeypatch.setattr(rewrite, "_NF_CACHE", cache)
         normal_form(Polynomial(3, {w: k for k, w in enumerate(basis + off, 1)}))
-        assert bottom in cache and not any(u.dd for u in cache)
+        assert all(u.nf is not None for u in off) and all(w.nf is None for w in basis)
         for w in basis:
             assert normal_form(Polynomial.monomial(w, n=3))._terms == {w: 1}
-        assert not any(u.dd for u in cache)
+        assert all(w.nf is None for w in basis)
 
     def test_every_step_checks_descent(self, monkeypatch):
         w = l_prec(l_prec(x1, x1), x1)
-        monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+        monkeypatch.setattr(w, "nf", None)
         monkeypatch.setattr(rewrite, "compare", lambda u, v: 0)  # every produced word now ties with w
         with pytest.raises(RewriteOrderError):
             normal_form(Polynomial.monomial(w))
+
+    def test_a_dropped_word_takes_its_derivation_with_it(self, monkeypatch):
+        # Generators x7..x9 at degree 5 keep the words out of every
+        # enumeration another test may have cached.
+        steps = []
+        real = rewrite._fold_step
+
+        def recorded(*args):
+            out = real(*args)
+            steps.extend(weakref.ref(w) for w in out)
+            return out
+
+        monkeypatch.setattr(rewrite, "_fold_step", recorded)
+        u = l_prec(l_prec(l_prec(x7, x8), x9), l_succ(x7, x8))
+        p = normal_form(Polynomial.monomial(u, n=9))
+        assert len(p) == 4 and u.nf == p._terms and steps
+        refs = [weakref.ref(u), *steps]
+        del u, p
+        assert all(r() is None for r in refs)
+
+    def test_a_live_word_keeps_its_normal_form(self, monkeypatch):
+        u = l_prec(l_prec(l_prec(x7, x9), x8), x7)
+        first = normal_form(Polynomial.monomial(u, n=9))
+        assert u.nf == first._terms
+        del first
+        matches = []
+        monkeypatch.setattr(rewrite, "match_rule_at", lambda w: matches.append(w))
+        assert normal_form(Polynomial.monomial(u, n=9))._terms == u.nf
+        assert matches == []
+
+    def test_a_depth_10000_derivation_leaves_the_intern_table(self, monkeypatch):
+        # Freeing the chain frees 10,000 nested words at once; each one's
+        # intern entry must go without a RecursionError in its callback.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        before = len(terms._NODE_CACHE)
+        w = node(PREC, node(PREC, x1, x2), x3)
+        for _ in range(10_000):
+            w = node(SUCC, x1, w)
+        p = normal_form(Polynomial.monomial(w, n=3))
+        chain = "(x1 > " * 10_000 + "{})" + ")" * 9_999
+        assert str(p) == chain.format("(x1 < (x2 < x3))") + " + " + chain.format("(x1 < (x2 > x3))")
+        assert len(terms._NODE_CACHE) > before + 29_000  # the chain and its two step words, 10,001 levels each
+        del w, p
+        assert len(terms._NODE_CACHE) == before
+        assert unraisable == []
 
     @given(polynomials(n=2, max_degree=5), polynomials(n=2, max_degree=5))
     def test_linearity(self, p, q):

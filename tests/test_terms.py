@@ -1,7 +1,11 @@
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given
 
 from _strategies import normal_words, reference_is_normal, reference_leaves, tree_words
+from dendriform import terms
 from dendriform.oracle import enumerate_contexts, enumerate_normal_lwords
 from dendriform.terms import (
     PREC,
@@ -91,6 +95,23 @@ class TestParse:
             w = node(PREC, w, x2) if comb else node(SUCC, x2, w)
         assert w.degree == 10_001
         assert parse_lword(str(w)) is w
+
+
+class TestInterning:
+    def test_identity_holds_after_a_word_died_and_was_rebuilt(self):
+        # Generators x7..x9 keep the word out of every enumeration another
+        # test may have cached, so dropping it here frees it.
+        x7, x8, x9 = (generator(i) for i in range(7, 10))
+        before = len(terms._NODE_CACHE)
+        w = node(PREC, node(SUCC, x7, x8), x9)
+        assert len(terms._NODE_CACHE) == before + 2
+        ref = weakref.ref(w)
+        del w
+        assert ref() is None and len(terms._NODE_CACHE) == before
+        w = node(PREC, node(SUCC, x7, x8), x9)
+        assert node(PREC, node(SUCC, x7, x8), x9) is w
+        assert parse_lword("((x7 > x8) < x9)") is w
+        assert pickle.loads(pickle.dumps(w)) is w
 
 
 class TestDegreeAndNormality:
