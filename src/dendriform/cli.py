@@ -6,7 +6,8 @@ error (oracle-dim refuses a degree above 10, hilbert one above 3000,
 count --enumerate and verify-gsb more normal words in all than the 836,970
 over one generator through degree 10, and count and hilbert a value with
 more digits than the interpreter's int-to-text limit,
-sys.get_int_max_str_digits).
+sys.get_int_max_str_digits), 141 when the reader closes stdout before the
+output ends (``dendriform count ... | head -1``), with nothing on stderr.
 Output is deterministic: identical arguments produce identical bytes.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import accumulate, islice
 
@@ -22,12 +24,22 @@ from .poly import Polynomial
 from .rewrite import normal_form
 from .terms import ParseError, count_normal_lwords, normalize, parse_lword
 
+EXIT_STDOUT_CLOSED = 141  # what a shell reports for a process killed by SIGPIPE
+
+
+def _json_default(obj):
+    # A composition report becomes its dict only when the encoder reaches
+    # it, so verify-gsb never holds the dicts of all its reports at once.
+    if isinstance(obj, gsbcheck.CompositionReport):
+        return obj.to_json_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
 
 def _emit_json(payload) -> None:
     # Written chunk by chunk: the same bytes as printing json.dumps, without
     # holding the whole text (168 MB for verify-gsb at degree 7 over two
     # generators) in memory.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default).iterencode(payload)
     while text := "".join(islice(chunks, 1 << 16)):
         sys.stdout.write(text)
     sys.stdout.write("\n")
@@ -190,7 +202,7 @@ def _cmd_verify_gsb(args) -> int:
     reports = [r for block in blocks for r in block]
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        _emit_json([r.to_json_dict() for block in blocks for r in sorted(block, key=gsbcheck._report_sort_key)])
+        _emit_json([r for block in blocks for r in sorted(block, key=gsbcheck._report_sort_key)])
     else:
         for kind in ("inclusion", "right_mult"):
             group = [r for r in reports if r.kind == kind]
@@ -315,7 +327,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``dendriform count ... | head -1``).
+        # What is left of the output, the flush at exit included, goes to
+        # the null device, so nothing raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -2,13 +2,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 from dendriform import gsbcheck
-from dendriform.cli import main
+from dendriform.cli import EXIT_STDOUT_CLOSED, main
 from dendriform.terms import compare, parse_lword
 
 
@@ -168,6 +171,35 @@ def test_bad_generator_digits_exit_2_with_one_line(capsys, text):
     assert "Traceback" not in err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # About 280 kB of text and more of JSON, far past a pipe's buffer:
+        # the reader stops after one line, in the middle of the output.
+        (("count", "--generators", "1", "--max-degree", "600"), 1),
+        (("count", "--generators", "1", "--max-degree", "600", "--format", "json"), 1),
+        # One short line, left in the buffer until the flush before exit.
+        (("normalize", "x1"), 0),
+    ],
+    ids=["text", "json", "flush"],
+)
+def test_closed_stdout_exits_quietly(argv, lines_read):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dendriform", *argv], env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_STDOUT_CLOSED
+    assert err == b""
+
+
 class TestReduce:
     def test_rule1_head(self, capsys):
         code, out, _ = run(capsys, "reduce", "((x1 < x2) < x3)")
@@ -303,6 +335,31 @@ class TestVerification:
         for start, size in zip((0, sizes[0], sizes[0] + sizes[1]), sizes):
             block = words[start : start + size]
             assert all(compare(u, v) <= 0 for u, v in zip(block, block[1:]))
+
+    def test_verify_gsb_json_builds_each_report_dict_as_it_prints(self, monkeypatch):
+        events = []
+        to_json_dict = gsbcheck.CompositionReport.to_json_dict
+
+        def recording(report):
+            events.append("dict")
+            return to_json_dict(report)
+
+        class RecordingOut(io.StringIO):
+            def write(self, text):
+                events.append("write")
+                return super().write(text)
+
+        monkeypatch.setattr(gsbcheck.CompositionReport, "to_json_dict", recording)
+        monkeypatch.setattr(sys, "stdout", RecordingOut())
+        assert main(["verify-gsb", "--generators", "2", "--max-degree", "6", "--format", "json"]) == 0
+        last_dict = len(events) - 1 - events[::-1].index("dict")
+        assert events.index("write") < last_dict
+
+    def test_json_printer_refuses_other_objects(self, capsys):
+        from dendriform.cli import _emit_json
+
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            _emit_json([object()])
 
     def test_verify_gsb_sorts_only_for_json(self, capsys, monkeypatch):
         def no_sort(report):

@@ -24,6 +24,10 @@ def digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+# Every degree through 8 over x1, 6 over two generators and 5 over three.
+ORDER_CASES = [(m, n) for n, top in ((1, 8), (2, 6), (3, 5)) for m in range(1, top + 1)]
+
+
 class TestEnumeration:
     def test_degree_one_two_generators(self):
         index = enumerate_normal_lwords(1, 2)
@@ -47,6 +51,12 @@ class TestEnumeration:
         assert all(words[i] > words[i + 1] for i in range(len(words) - 1))
         assert all(index.position[w] == i for i, w in enumerate(words))
 
+    @pytest.mark.parametrize("m, n", ORDER_CASES)
+    def test_generated_in_descending_order(self, m, n):
+        # The enumeration is generated in order; sorting is only the reference.
+        words = enumerate_normal_lwords(m, n).words
+        assert list(words) == sorted(words, reverse=True)
+
 
 class TestDDEnumeration:
     def test_degree_two(self):
@@ -62,6 +72,11 @@ class TestDDEnumeration:
         for n in (1, 2):
             for m in range(1, 7):
                 assert len(enumerate_dd_words(m, n)) == dim_closed(m, n)
+
+    @pytest.mark.parametrize("m, n", ORDER_CASES)
+    def test_generated_in_descending_order(self, m, n):
+        words = enumerate_dd_words(m, n)
+        assert list(words) == sorted(words, reverse=True)
 
     def test_order_is_pinned(self):
         words = enumerate_dd_words(5, 2)
@@ -114,11 +129,23 @@ class TestRelationMatrix:
             assert 0 < len(row) <= 3
             assert all(abs(v) == 1 for v in row.values())
 
+    # Digests of the same rows as sorted lines, recorded at commit a836a1a,
+    # before the enumerations were generated in order: the (5, 1) row order
+    # moved then, the rows themselves did not.
+    SORTED_ROWS = {
+        (5, 1, False): "6137e2e4c76e3584e0a419aba9de572e94253d2259d746e0ae4e42cf5895d574",
+        (5, 1, True): "67b48307939a7d74ff46f7fbece657b246049a005c9a969e50720f54f5cfe4fa",
+        (4, 2, False): "acbd19ffb5d046d178b4659a90c1fdcd67fb83a3d1504a53741408eae8df4da3",
+        (4, 2, True): "e2990a2da376788a8595dea54b6ff318030589acb29ccb77717e3d524e442918",
+        (3, 3, False): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+        (3, 3, True): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+    }
+
     @pytest.mark.parametrize(
         "m, n, include_f3, count, expected",
         [
-            (5, 1, False, 162, "49d0b652fbc12001ed551edc935cfe6c575a08d59d43bbfba5b8df43390dc91c"),
-            (5, 1, True, 174, "cdad2e96c85323d6dbe707c85df8f768600e2ffb16bde230a35e05e7c5273bb4"),
+            (5, 1, False, 162, "247022601ebb9c50ecd6446d4cbab6d27e4289abe31de1d7641f512347833df3"),
+            (5, 1, True, 174, "868b0c8903813d079250ac8a4e26118d8035f9ff8e1f40ae84ad6f2cbe1d1273"),
             (4, 2, False, 320, "01ae76821b5738e0355276b74c74af2367d94b6ee27970fd825cd3dc61796ee9"),
             (4, 2, True, 336, "da937e4a58f79e5d46739cb5c87a61f68132c0fa906d470ab730aca78a2221fc"),
             (3, 3, False, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
@@ -130,7 +157,16 @@ class TestRelationMatrix:
         # would change it without changing any rank.
         rows = build_relation_matrix(m, n, include_f3).rows
         assert len(rows) == count
-        assert digest(" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows) == expected
+        lines = [" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows]
+        assert digest(lines) == expected
+        assert digest(sorted(lines)) == self.SORTED_ROWS[m, n, include_f3]
+
+    @pytest.mark.parametrize("m, fill", [(6, 1909), (7, 11463)])
+    def test_elimination_fill_is_pinned(self, m, fill):
+        # Bindings read the enumeration ascending; read descending, the
+        # pivot rows hold 2,514 and 17,095 entries instead.
+        pivots = build_relation_matrix(m, 1).pivots
+        assert sum(map(len, pivots.values())) == fill
 
     def test_each_context_is_walked_once_per_instance_degree(self, monkeypatch):
         from dendriform import oracle
