@@ -32,7 +32,6 @@ from .rewrite import (
     rule_polynomial,
 )
 from .oracle import (
-    EnumerationIndex,
     RelationMatrix,
     build_relation_matrix,
     enumerate_contexts,

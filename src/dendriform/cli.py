@@ -4,8 +4,8 @@ Subcommands: normalize, reduce, count, hilbert, gk, verify-gsb, oracle-dim,
 audit.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error (oracle-dim refuses a degree above 10, hilbert one above 3000,
 count --enumerate and verify-gsb more normal words in all than the 836,970
-over one generator through degree 10, and count and hilbert a value with
-more digits than the interpreter's int-to-text limit,
+over one generator through degree 10, and count, hilbert and oracle-dim a
+value with more digits than the interpreter's int-to-text limit,
 sys.get_int_max_str_digits), 141 when the reader closes stdout before the
 output ends (``dendriform count ... | head -1``), with nothing on stderr.
 Output is deterministic: identical arguments produce identical bytes.
@@ -109,13 +109,13 @@ def _refuse_more_words_than_the_oracle(command: str, args) -> None:
         raise _UsageError(f"{command} needs at most {ceiling} normal words through --max-degree")
 
 
-def _refuse_more_digits_than_str_allows(command: str, largest: int) -> None:
-    """Refuse, before any output, a run whose largest printed value has more
+def _refuse_more_digits_than_str_allows(command: str, largest: int, flags: str = "through --max-degree") -> None:
+    """Refuse, before any work, a run whose largest printed value has more
     digits than the interpreter turns into text (str() itself would raise;
     a limit of 0, or none at all before CPython 3.10.7, is unlimited)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and largest >= 10**limit:
-        raise _UsageError(f"{command} needs values of at most {limit} digits (sys.get_int_max_str_digits) through --max-degree")
+        raise _UsageError(f"{command} needs values of at most {limit} digits (sys.get_int_max_str_digits) {flags}")
 
 
 def _cmd_count(args) -> int:
@@ -129,7 +129,7 @@ def _cmd_count(args) -> int:
         dd = series.dim_closed(m, args.generators)
         row = {"degree": m, "normal_lwords": lwords, "dd_words": dd}
         if args.enumerate:
-            enum_l = len(oracle.enumerate_normal_lwords(m, args.generators).words)
+            enum_l = len(oracle.enumerate_normal_lwords(m, args.generators))
             enum_dd = len(oracle.enumerate_dd_words(m, args.generators))
             row["enumerated_lwords"] = enum_l
             row["enumerated_dd_words"] = enum_dd
@@ -219,6 +219,9 @@ def _cmd_oracle_dim(args) -> int:
     if m > _ORACLE_MAX_DEGREE:
         raise _UsageError(f"oracle-dim needs --degree at most {_ORACLE_MAX_DEGREE}")
     n_words = count_normal_lwords(m, n)
+    # The word count bounds every printed value: the rank, the quotient and
+    # the closed form are at most it.
+    _refuse_more_digits_than_str_allows("oracle-dim", n_words, "at --generators and --degree")
     quotient = oracle.quotient_dim(m, n, args.include_f3)
     rank = n_words - quotient
     closed = series.dim_closed(m, n)

@@ -161,7 +161,7 @@ def _redex_pairs(words):
 
 def _normal_words_from_degree_3(max_degree: int, n: int):
     for m in range(3, max_degree + 1):
-        yield from enumerate_normal_lwords(m, n).words
+        yield from enumerate_normal_lwords(m, n)
 
 
 def check_local_confluence(max_degree: int, n: int) -> list[CompositionReport]:

@@ -8,9 +8,10 @@ subtracts the exact rank of that row space.  Everything is exact:
 elimination runs on ints and divides, with Fraction, only at a pivot whose
 leading entry is not 1 or -1, so ranks are certainties, not estimates.
 
-Both word enumerations, the normal words and the DD words, are generated
-directly in one order: strictly descending under the monomial order
-``compare``, so the matrix columns put each row's greatest word first.
+Both word enumerations, the normal words and the DD words, are plain
+tuples generated directly in one order: strictly descending under the
+monomial order ``compare``, so the matrix columns put each row's greatest
+word first.
 Relation bindings read the same enumeration ascending, which keeps the
 elimination fill low (``binding_tuples`` gives the figures).
 
@@ -38,24 +39,9 @@ from .terms import PREC, SUCC, Context, LWord, generator, hole, node
 _BASE_RULES = (RuleId.F1, RuleId.F2)
 
 
-class EnumerationIndex:
-    """All normal words of one degree, strictly descending, with positions."""
-
-    __slots__ = ("degree", "n", "words", "position")
-
-    def __init__(self, degree: int, n: int, words: tuple[LWord, ...]):
-        self.degree = degree
-        self.n = n
-        self.words = words
-        self.position = {w: i for i, w in enumerate(words)}
-
-    def __repr__(self) -> str:
-        return f"EnumerationIndex(degree={self.degree}, n={self.n}, {len(self.words)} words)"
-
-
 @lru_cache(maxsize=None)
-def enumerate_normal_lwords(m: int, n: int) -> EnumerationIndex:
-    """Exhaustive duplicate-free index of the degree-m normal words.
+def enumerate_normal_lwords(m: int, n: int) -> tuple[LWord, ...]:
+    """Every normal word of degree m, as one strictly descending tuple.
 
     The words are generated in the order ``compare`` defines, strictly
     descending: PREC-topped words before SUCC-topped ones, then left degree
@@ -65,13 +51,11 @@ def enumerate_normal_lwords(m: int, n: int) -> EnumerationIndex:
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
     if m == 1:
-        return EnumerationIndex(1, n, tuple(generator(i) for i in range(n, 0, -1)))
-    splits = [
-        (enumerate_normal_lwords(i, n).words, enumerate_normal_lwords(m - i, n).words) for i in range(m - 1, 0, -1)
-    ]
+        return tuple(generator(i) for i in range(n, 0, -1))
+    splits = [(enumerate_normal_lwords(i, n), enumerate_normal_lwords(m - i, n)) for i in range(m - 1, 0, -1)]
     words = [node(PREC, u, v) for lefts, rights in splits for u in lefts if u.op is not SUCC for v in rights]
     words.extend(node(SUCC, u, v) for lefts, rights in splits for u in lefts for v in rights)
-    return EnumerationIndex(m, n, tuple(words))
+    return tuple(words)
 
 
 @lru_cache(maxsize=None)
@@ -153,24 +137,21 @@ def binding_tuples(total: int, slots: int, n: int):
     8, where the rank takes about twice as long.
     """
     for degrees in _compositions(total, slots):
-        yield from product(*(enumerate_normal_lwords(d, n).words[::-1] for d in degrees))
+        yield from product(*(enumerate_normal_lwords(d, n)[::-1] for d in degrees))
 
 
 class RelationMatrix:
     """Degree-homogeneous rows spanning the degree-m piece of the ideal.
 
     One row per (rule, bindings, context) triple; every row is the
-    coordinate vector, over the normal-word index, of the context-embedded
-    rule instance.
+    coordinate vector of the context-embedded rule instance, keyed by its
+    words' positions in ``words``, the degree's normal words descending.
     """
 
-    __slots__ = ("degree", "n", "include_f3", "index", "rows", "_pivots")
+    __slots__ = ("words", "rows", "_pivots")
 
-    def __init__(self, degree, n, include_f3, index, rows):
-        self.degree = degree
-        self.n = n
-        self.include_f3 = include_f3
-        self.index = index
+    def __init__(self, words, rows):
+        self.words = words
         self.rows = rows
         self._pivots = None
 
@@ -185,14 +166,11 @@ class RelationMatrix:
         return len(self.pivots)
 
     def __repr__(self) -> str:
-        return (
-            f"RelationMatrix(degree={self.degree}, n={self.n}, rows={len(self.rows)},"
-            f" cols={len(self.index.words)})"
-        )
+        return f"RelationMatrix(rows={len(self.rows)}, cols={len(self.words)})"
 
 
 def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationMatrix:
-    """Rows of the degree-m relation module over the normal-word index.
+    """Rows of the degree-m relation module over the normal words.
 
     Bindings run over all normal words with total degree d, contexts over
     all single-hole words with m - d + 1 leaves, for every d the rule
@@ -201,7 +179,8 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
     """
     if m < 3:
         raise ValueError("there are no relations below degree 3")
-    index = enumerate_normal_lwords(m, n)
+    words = enumerate_normal_lwords(m, n)
+    column = {w: i for i, w in enumerate(words)}
     rules = _BASE_RULES + ((RuleId.F3,) if include_f3 else ())
     rows = []
     for rule in rules:
@@ -212,14 +191,14 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
                 relation = rule_polynomial(rule, bindings, n=n)
                 for path in paths:
                     embedded = fold_hole_path(path, relation)
-                    rows.append({index.position[w]: a for w, a in embedded._terms.items()})
-    return RelationMatrix(m, n, include_f3, index, tuple(rows))
+                    rows.append({column[w]: a for w, a in embedded._terms.items()})
+    return RelationMatrix(words, tuple(rows))
 
 
 def row_echelon(rows) -> dict[int, dict[int, Coefficient]]:
     """Sparse Gaussian elimination; pivot rows keyed by leading column.
 
-    Columns follow the descending word index, so the leading column of a
+    Columns follow the descending word tuple, so the leading column of a
     row is its greatest monomial.  Pivot rows have a unit leading
     coefficient.  A reduced row whose lead is 1 or -1 is stored as it is or
     negated, so integer rows with such leads stay on ints; any other lead
@@ -271,7 +250,7 @@ def quotient_dim(m: int, n: int, include_f3: bool = False) -> int:
         raise ValueError("degree and alphabet size must be at least 1")
     if n > 1:
         return n**m * quotient_dim(m, 1, include_f3)
-    n_words = len(enumerate_normal_lwords(m, n).words)
+    n_words = len(enumerate_normal_lwords(m, n))
     if m < 3:
         return n_words
     return n_words - build_relation_matrix(m, n, include_f3).rank

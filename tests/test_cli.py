@@ -143,6 +143,35 @@ def test_count_and_hilbert_beyond_the_digit_limit_exit_2_with_one_line(capsys, c
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit before CPython 3.10.7")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_dim_beyond_the_digit_limit_exits_2_before_eliminating(capsys, monkeypatch, fmt):
+    # Under a 640-digit limit, 10^320 generators have 321 digits and the
+    # 2 * 10^640 normal words of degree 2 have 641: degree 1 passes and
+    # degree 2 is refused before quotient_dim runs.
+    from dendriform import oracle
+
+    calls = []
+    quotient_dim = oracle.quotient_dim
+
+    def recorded(*args):
+        calls.append(args)
+        return quotient_dim(*args)
+
+    monkeypatch.setattr(oracle, "quotient_dim", recorded)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ("oracle-dim", "--generators", str(10**320), "--format", fmt, "--degree")
+        code, out, err = run(capsys, *argv, "2")
+        assert code == 2 and out == "" and calls == []
+        assert err == "usage error: oracle-dim needs values of at most 640 digits (sys.get_int_max_str_digits) at --generators and --degree\n"
+        code, out, err = run(capsys, *argv, "1")
+        assert code == 0 and err == "" and str(10**320) in out and calls[0] == (1, 10**320, False)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("method", ["all", "recursive", "closed", "gf"])
 def test_hilbert_beyond_the_degree_ceiling_exits_2_with_one_line(capsys, monkeypatch, method, fmt):

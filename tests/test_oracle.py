@@ -30,31 +30,35 @@ ORDER_CASES = [(m, n) for n, top in ((1, 8), (2, 6), (3, 5)) for m in range(1, t
 
 class TestEnumeration:
     def test_degree_one_two_generators(self):
-        index = enumerate_normal_lwords(1, 2)
-        assert [str(w) for w in index.words] == ["x2", "x1"]
+        assert [str(w) for w in enumerate_normal_lwords(1, 2)] == ["x2", "x1"]
 
     def test_degree_two_single_generator(self):
-        index = enumerate_normal_lwords(2, 1)
-        assert [str(w) for w in index.words] == ["(x1 < x1)", "(x1 > x1)"]
+        assert [str(w) for w in enumerate_normal_lwords(2, 1)] == ["(x1 < x1)", "(x1 > x1)"]
 
     def test_counts_match_recursion(self):
-        assert len(enumerate_normal_lwords(4, 1).words) == 30
+        assert len(enumerate_normal_lwords(4, 1)) == 30
         for n in (1, 2):
             for m in range(1, 6):
-                assert len(enumerate_normal_lwords(m, n).words) == count_normal_lwords(m, n)
+                assert len(enumerate_normal_lwords(m, n)) == count_normal_lwords(m, n)
 
     def test_all_words_normal_distinct_descending(self):
-        index = enumerate_normal_lwords(5, 2)
-        words = index.words
+        words = enumerate_normal_lwords(5, 2)
         assert len(set(words)) == len(words)
         assert all(is_normal(w) for w in words)
         assert all(words[i] > words[i + 1] for i in range(len(words) - 1))
-        assert all(index.position[w] == i for i, w in enumerate(words))
+
+    @pytest.mark.parametrize("m, n", [(5, 1), (4, 2)])
+    def test_enumerations_are_the_matrix_columns(self, m, n):
+        # Both enumerations are plain tuples, and the relation matrix's
+        # columns are the cached normal-word tuple itself, not a copy.
+        assert type(enumerate_normal_lwords(m, n)) is tuple
+        assert type(enumerate_dd_words(m, n)) is tuple
+        assert build_relation_matrix(m, n).words is enumerate_normal_lwords(m, n)
 
     @pytest.mark.parametrize("m, n", ORDER_CASES)
     def test_generated_in_descending_order(self, m, n):
         # The enumeration is generated in order; sorting is only the reference.
-        words = enumerate_normal_lwords(m, n).words
+        words = enumerate_normal_lwords(m, n)
         assert list(words) == sorted(words, reverse=True)
 
 
@@ -85,7 +89,7 @@ class TestDDEnumeration:
 
     def test_dd_words_are_normal_words(self):
         dd = set(enumerate_dd_words(4, 2))
-        all_words = set(enumerate_normal_lwords(4, 2).words)
+        all_words = set(enumerate_normal_lwords(4, 2))
         assert dd <= all_words
         assert all(w.dd for w in dd)
 
@@ -119,7 +123,7 @@ class TestContexts:
 class TestRelationMatrix:
     def test_degree_three_single_generator(self):
         matrix = build_relation_matrix(3, 1)
-        assert len(matrix.index.words) == 7
+        assert len(matrix.words) == 7
         assert len(matrix.rows) == 2  # one instance of each rule, bare context
         assert matrix.rank == 2
 
@@ -211,7 +215,7 @@ class TestRelationMatrix:
         assert any(type(v) is Fraction for v in vec.values())
         assert not reduce_vector(vec, matrix.pivots)
         dd = enumerate_dd_words(4, 1)[0]
-        assert reduce_vector({matrix.index.position[dd]: Fraction(1, 2)}, matrix.pivots)
+        assert reduce_vector({matrix.words.index(dd): Fraction(1, 2)}, matrix.pivots)
 
     # Digests of the sorted pivot columns and of the pivot rows as printed
     # at commit 8b1f618, where every pivot row was scaled by Fraction(1, lead).
@@ -273,7 +277,7 @@ class TestQuotientDimension:
     def test_scaled_quotient_matches_direct_elimination(self, m, n, include_f3):
         # quotient_dim relabels the x1 quotient; the rows over n generators
         # eliminated directly must give the same dimension.
-        n_words = len(enumerate_normal_lwords(m, n).words)
+        n_words = len(enumerate_normal_lwords(m, n))
         direct = n_words - build_relation_matrix(m, n, include_f3).rank if m >= 3 else n_words
         assert quotient_dim(m, n, include_f3) == direct
 
@@ -297,12 +301,12 @@ class TestAgainstRewriting:
         for n in (1, 2):
             for m in (3, 4):
                 matrix = build_relation_matrix(m, n)
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     p = Polynomial.monomial(w, n=n)
                     moved = normal_form(p) - p
                     if moved.is_zero:
                         continue
-                    vec = {matrix.index.position[u]: a for u, a in moved.terms()}
+                    vec = {matrix.words.index(u): a for u, a in moved.terms()}
                     assert not reduce_vector(vec, matrix.pivots)
 
     def test_dd_words_are_fixed_points(self):

@@ -79,7 +79,7 @@ class TestDDNormal:
         # Degree <= 6 over one and two generators.
         for n in (1, 2):
             for m in range(1, 7):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     assert w.dd == (find_redexes(w) == [])
                     assert w.dd == (reference_redexes(w) == [])
 
@@ -93,7 +93,7 @@ class TestDDNormal:
         # The reference reads no flag and skips no subtree, so the pruned
         # search and the one-path first redex are checked against it.
         for m in range(1, max_degree + 1):
-            for w in enumerate_normal_lwords(m, n).words:
+            for w in enumerate_normal_lwords(m, n):
                 expected = reference_redexes(w)
                 assert w.dd == reference_is_dd(w) == (expected == [])
                 assert find_redexes(w) == expected
@@ -205,7 +205,7 @@ class TestFindRedexes:
     def test_preorder_and_first_agree(self):
         for n in (1, 2):
             for m in range(3, 7):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     redexes = find_redexes(w)
                     assert first_match(w) == (joined(redexes[0]) if redexes else None)
 
@@ -254,7 +254,7 @@ class TestRewriteStep:
     def test_strict_descent_everywhere(self):
         for n in (1, 2):
             for m in range(3, 7):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     for r in find_redexes(w):
                         out = rewrite_step(w, r, n=n)
                         for produced, coeff in out.terms():
@@ -276,7 +276,7 @@ class TestRewriteStep:
         steps = 0
         for n, max_degree in ((1, 6), (2, 5)):
             for m in range(3, max_degree + 1):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     for r in find_redexes(w):
                         relation = rule_polynomial(r.rule, r.bindings, n=n)
                         reference = spliced(Context(hole_at(w, r.path)), relation)
@@ -302,7 +302,7 @@ class TestNormalForm:
     def test_image_is_dd_normal_and_terminates(self):
         for n in (1, 2):
             for m in range(1, 7):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     nf = normal_form(Polynomial.monomial(w, n=n))
                     assert all(t.dd for t, _ in nf.terms())
                     # The rules' coefficients are +-1 and reduction never divides.
@@ -312,7 +312,7 @@ class TestNormalForm:
         # Every redex of every small word leads to the same normal form.
         for n in (1, 2):
             for m in range(3, 7):
-                for w in enumerate_normal_lwords(m, n).words:
+                for w in enumerate_normal_lwords(m, n):
                     redexes = find_redexes(w)
                     if not redexes:
                         continue
@@ -327,7 +327,7 @@ class TestNormalForm:
         # of a normal word over x1, x2 are normal words of its degree over
         # x1, x2, so clearing every enumerated word's stored normal form
         # makes the second pass reduce every word off the basis afresh.
-        words = [w for m in range(1, 6) for w in enumerate_normal_lwords(m, 2).words]
+        words = [w for m in range(1, 6) for w in enumerate_normal_lwords(m, 2)]
         expected = [normal_form(Polynomial.monomial(w, n=2)) for w in words]
         for w in words:
             monkeypatch.setattr(w, "nf", None)
@@ -353,7 +353,7 @@ class TestNormalForm:
         for _ in range(600):
             chain, bottom = node(SUCC, x1, chain), node(SUCC, x1, bottom)
         basis = [w for m in range(1, 6) for w in enumerate_dd_words(m, 2)] + [chain]
-        off = [w for m in range(3, 6) for w in enumerate_normal_lwords(m, 2).words if not w.dd] + [bottom]
+        off = [w for m in range(3, 6) for w in enumerate_normal_lwords(m, 2) if not w.dd] + [bottom]
         normal_form(Polynomial(3, {w: k for k, w in enumerate(basis + off, 1)}))
         assert all(u.nf is not None for u in off) and all(w.nf is None for w in basis)
         for w in basis:

@@ -127,7 +127,7 @@ class TestDegreeAndNormality:
 
     def test_walks_match_the_definitions(self):
         # The contexts cover normal and non-normal trees, flagged or not.
-        trees = [c.word for c in enumerate_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2).words)
+        trees = [c.word for c in enumerate_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2))
         assert any(not is_normal(w) for w in trees) and any(not w.dd and is_normal(w) for w in trees)
         for w in trees:
             assert is_normal(w) == reference_is_normal(w)
@@ -203,7 +203,7 @@ class TestOrder:
         # sort certifies totality, antisymmetry and transitivity at once.
         words = []
         for m in range(1, 5):
-            words.extend(enumerate_normal_lwords(m, 2).words)
+            words.extend(enumerate_normal_lwords(m, 2))
         ordered = sorted(words)
         for i in range(len(ordered)):
             assert compare(ordered[i], ordered[i]) == 0
@@ -218,7 +218,7 @@ class TestOrder:
         for h in range(1, 4):
             contexts.extend(enumerate_contexts(h, 2))
         for m in range(1, 4):
-            words = enumerate_normal_lwords(m, 2).words  # descending
+            words = enumerate_normal_lwords(m, 2)  # descending
             for i in range(len(words)):
                 for j in range(i + 1, len(words)):
                     u, v = words[i], words[j]
@@ -257,7 +257,7 @@ class TestCounting:
     @pytest.mark.parametrize("n", [1, 2])
     def test_recursion_matches_enumeration(self, n):
         for m in range(1, 6):
-            assert count_normal_lwords(m, n) == len(enumerate_normal_lwords(m, n).words)
+            assert count_normal_lwords(m, n) == len(enumerate_normal_lwords(m, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_matches_top_operation_recursion_to_degree_400(self, n):
