@@ -95,7 +95,7 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-_ORACLE_MAX_DEGREE = 10  # (10, 1): 690,690 words, 3,797,472 rows; n >= 2 costs what n = 1 does
+_ORACLE_MAX_DEGREE = 10  # (10, 1): 690,690 words, 2,368,080 rows; n >= 2 costs what n = 1 does
 
 
 def _refuse_more_words_than_the_oracle(command: str, args) -> None:
@@ -109,19 +109,21 @@ def _refuse_more_words_than_the_oracle(command: str, args) -> None:
         raise _UsageError(f"{command} needs at most {ceiling} normal words through --max-degree")
 
 
-def _refuse_more_digits_than_str_allows(command: str, largest: int, flags: str = "through --max-degree") -> None:
-    """Refuse, before any work, a run whose largest printed value has more
-    digits than the interpreter turns into text (str() itself would raise;
-    a limit of 0, or none at all before CPython 3.10.7, is unlimited)."""
+def _refuse_more_digits_than_str_allows(command: str, largest, m: int, n: int, flags: str = "through --max-degree") -> None:
+    """Refuse, before any work, a run whose largest printed value, largest(m, n),
+    has more digits than str() turns into text (a limit of 0, or none before
+    CPython 3.10.7, is unlimited).  That value is at least 2^(m-1) n^m >=
+    2^bits and log10(2) > 3/10, so 3 bits >= 10 limit refuses it unbuilt."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and largest >= 10**limit:
+    bits = m - 1 + m * (n.bit_length() - 1)
+    if limit and (3 * bits >= 10 * limit or largest(m, n) >= 10**limit):
         raise _UsageError(f"{command} needs values of at most {limit} digits (sys.get_int_max_str_digits) {flags}")
 
 
 def _cmd_count(args) -> int:
     if args.enumerate:
         _refuse_more_words_than_the_oracle("count --enumerate", args)
-    _refuse_more_digits_than_str_allows("count", count_normal_lwords(args.max_degree, args.generators))
+    _refuse_more_digits_than_str_allows("count", count_normal_lwords, args.max_degree, args.generators)
     rows = []
     mismatch = False
     for m in range(1, args.max_degree + 1):
@@ -163,7 +165,7 @@ _HILBERT_MAX_DEGREE = 3000
 def _cmd_hilbert(args) -> int:
     if args.max_degree > _HILBERT_MAX_DEGREE:
         raise _UsageError(f"hilbert needs --max-degree at most {_HILBERT_MAX_DEGREE}")
-    _refuse_more_digits_than_str_allows("hilbert", series.dim_closed(args.max_degree, args.generators))
+    _refuse_more_digits_than_str_allows("hilbert", series.dim_closed, args.max_degree, args.generators)
     try:
         table = series.dimension_table(args.max_degree, args.generators, args.method)
     except RuntimeError as exc:
@@ -218,10 +220,10 @@ def _cmd_oracle_dim(args) -> int:
     m, n = args.degree, args.generators
     if m > _ORACLE_MAX_DEGREE:
         raise _UsageError(f"oracle-dim needs --degree at most {_ORACLE_MAX_DEGREE}")
-    n_words = count_normal_lwords(m, n)
     # The word count bounds every printed value: the rank, the quotient and
     # the closed form are at most it.
-    _refuse_more_digits_than_str_allows("oracle-dim", n_words, "at --generators and --degree")
+    _refuse_more_digits_than_str_allows("oracle-dim", count_normal_lwords, m, n, "at --generators and --degree")
+    n_words = count_normal_lwords(m, n)
     quotient = oracle.quotient_dim(m, n, args.include_f3)
     rank = n_words - quotient
     closed = series.dim_closed(m, n)

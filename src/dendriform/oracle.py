@@ -3,8 +3,12 @@
 This module recomputes the dimension of each graded component of the
 dendriform quotient without the rewrite engine: it enumerates all normal
 words of a degree, spans the degree piece of the relation ideal by
-instantiating the defining relations inside every single-hole context, and
-subtracts the exact rank of that row space.  Everything is exact:
+instantiating the defining relations inside every normal single-hole
+context, and subtracts the exact rank of that row space.  The entanglement
+congruence is generated by an identity, so it is closed under
+substitution: a context C and its normal form C' (the hole read as a
+letter) give the same ``normalize(C[u])`` for every word u, and a
+non-normal context would only repeat rows.  Everything is exact:
 elimination runs on ints and divides, with Fraction, only at a pivot whose
 leading entry is not 1 or -1, so ranks are certainties, not estimates.
 
@@ -12,8 +16,8 @@ Both word enumerations, the normal words and the DD words, are plain
 tuples generated directly in one order: strictly descending under the
 monomial order ``compare``, so the matrix columns put each row's greatest
 word first.
-Relation bindings read the same enumeration ascending, which keeps the
-elimination fill low (``binding_tuples`` gives the figures).
+Relation bindings and context factors read the same enumeration ascending,
+which keeps the elimination fill low (``binding_tuples`` gives the figures).
 
 Over n >= 2 generators ``quotient_dim`` eliminates over x1 only.  The
 relations never reorder leaves (see the ``gsbcheck`` docstring), so the
@@ -83,25 +87,15 @@ def enumerate_dd_words(m: int, n: int) -> tuple[LWord, ...]:
 
 
 @lru_cache(maxsize=None)
-def _all_trees(m: int, n: int) -> tuple[LWord, ...]:
-    if m == 1:
-        return tuple(generator(i) for i in range(1, n + 1))
-    return tuple(
-        node(op, u, v)
-        for i in range(1, m)
-        for op in (PREC, SUCC)
-        for u in _all_trees(i, n)
-        for v in _all_trees(m - i, n)
-    )
-
-
-@lru_cache(maxsize=None)
 def enumerate_contexts(h: int, n: int) -> tuple[Context, ...]:
-    """Every single-hole word with h leaves (the hole counts as a leaf).
+    """Every normal single-hole word with h leaves (the hole counts as a leaf).
 
-    Contexts are arbitrary trees, not just normal ones; substitution results
-    are re-normalized downstream, and the larger family makes ideal-span
-    arguments direct.
+    The normal words of degree h with one leaf made the hole, C(3h-2, h-1)
+    n^(h-1) of them: a ``<`` node never has a ``>``-topped left factor.
+    Non-normal contexts add no row, since the congruence is closed under
+    substitution: C and its normal form C' (the hole read as a letter)
+    give the same ``normalize(C[u])`` for every word u.  Word factors read
+    their enumeration ascending, as ``binding_tuples`` does.
     """
     if h < 1 or n < 1:
         raise ValueError("context degree and alphabet size must be at least 1")
@@ -109,9 +103,11 @@ def enumerate_contexts(h: int, n: int) -> tuple[Context, ...]:
         return (Context(hole()),)
     words = []
     for i in range(1, h):
+        ctx_lefts, ctx_rights = enumerate_contexts(i, n), enumerate_contexts(h - i, n)
+        lefts, rights = enumerate_normal_lwords(i, n)[::-1], enumerate_normal_lwords(h - i, n)[::-1]
         for op in (PREC, SUCC):
-            words.extend(node(op, c.word, w) for c in enumerate_contexts(i, n) for w in _all_trees(h - i, n))
-            words.extend(node(op, w, c.word) for w in _all_trees(i, n) for c in enumerate_contexts(h - i, n))
+            words.extend(node(op, c.word, w) for c in ctx_lefts if op is SUCC or c.word.op is not SUCC for w in rights)
+            words.extend(node(op, w, c.word) for w in lefts if op is SUCC or w.op is not SUCC for c in ctx_rights)
     return tuple(Context(w) for w in words)
 
 
@@ -132,9 +128,9 @@ def binding_tuples(total: int, slots: int, n: int):
     backwards.  Relation rows and right-multiplication sweeps both follow
     this order, and the elimination work depends on it.  Read descending,
     the same bindings give the same rank with more fill: over x1 the pivot
-    rows hold 2,514 entries in all instead of 1,909 at degree 6, 17,095
-    instead of 11,463 at degree 7 and 115,389 instead of 68,629 at degree
-    8, where the rank takes about twice as long.
+    rows hold 2,504 entries in all instead of 1,905 at degree 6, 17,009
+    instead of 11,401 at degree 7 and 114,630 instead of 67,974 at degree
+    8, where the rank takes about 1.5 times as long.
     """
     for degrees in _compositions(total, slots):
         yield from product(*(enumerate_normal_lwords(d, n)[::-1] for d in degrees))
@@ -173,9 +169,9 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
     """Rows of the degree-m relation module over the normal words.
 
     Bindings run over all normal words with total degree d, contexts over
-    all single-hole words with m - d + 1 leaves, for every d the rule
-    admits.  F3 rows are consequences of the F1/F2 rows and are included
-    only on request (their presence never changes the rank).
+    all normal single-hole words with m - d + 1 leaves, for every d the
+    rule admits.  F3 rows are consequences of the F1/F2 rows and are
+    included only on request (their presence never changes the rank).
     """
     if m < 3:
         raise ValueError("there are no relations below degree 3")

@@ -14,7 +14,7 @@ from dendriform.gsbcheck import (
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.rewrite import Redex, match_rule_at
-from dendriform.terms import PREC, SUCC, generator, hole, node, normalize, substitute
+from dendriform.terms import PREC, SUCC, Context, generator, hole, node, normalize, substitute
 
 
 def tree_words(n=2, max_leaves=6, holes=False):
@@ -27,6 +27,33 @@ def tree_words(n=2, max_leaves=6, holes=False):
         ),
         max_leaves=max_leaves,
     )
+
+
+def all_trees(m, n):
+    """Every tree with m leaves over x1..xn, normal or not."""
+    if m == 1:
+        return [generator(i) for i in range(1, n + 1)]
+    return [
+        node(op, u, v)
+        for i in range(1, m)
+        for op in (PREC, SUCC)
+        for u in all_trees(i, n)
+        for v in all_trees(m - i, n)
+    ]
+
+
+def all_contexts(h, n):
+    """Every single-hole tree with h leaves (the hole counts as a leaf),
+    normal or not: C(h-1) shapes, 2^(h-1) operation labelings, h hole
+    slots and n^(h-1) letters."""
+    if h == 1:
+        return [Context(hole())]
+    out = []
+    for i in range(1, h):
+        for op in (PREC, SUCC):
+            out.extend(Context(node(op, c.word, w)) for c in all_contexts(i, n) for w in all_trees(h - i, n))
+            out.extend(Context(node(op, w, c.word)) for w in all_trees(i, n) for c in all_contexts(h - i, n))
+    return out
 
 
 def normal_words(n=2, max_degree=6):

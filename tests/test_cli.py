@@ -144,6 +144,38 @@ def test_count_and_hilbert_beyond_the_digit_limit_exit_2_with_one_line(capsys, c
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit before CPython 3.10.7")
+@pytest.mark.parametrize(
+    "command,n,max_degree",
+    [("count", 1, 10**7), ("hilbert", 10**4000, 3000)],
+    ids=["count-degree-10^7", "hilbert-10^4000-generators"],
+)
+def test_far_beyond_the_digit_limit_is_refused_without_the_value(capsys, monkeypatch, command, n, max_degree):
+    # Both values are at least 2^(m-1) n^m, so these are refused from the
+    # bit lengths alone.  Building the exact value took 36 s for count at
+    # degree 10^6 and 11 s for these hilbert arguments (2 vCPU, CPython 3.11.7).
+    from dendriform import cli, series
+
+    def refusing(value):
+        def guarded(m, gens):
+            if (m, gens) == (max_degree, n):
+                raise AssertionError(f"{command} built the value it refuses")
+            return value(m, gens)
+
+        return guarded
+
+    monkeypatch.setattr(cli, "count_normal_lwords", refusing(cli.count_normal_lwords))
+    monkeypatch.setattr(series, "dim_closed", refusing(series.dim_closed))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, command, "--generators", str(n), "--max-degree", str(max_degree))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {command} needs values of at most 4300 digits (sys.get_int_max_str_digits) through --max-degree\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit before CPython 3.10.7")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oracle_dim_beyond_the_digit_limit_exits_2_before_eliminating(capsys, monkeypatch, fmt):
     # Under a 640-digit limit, 10^320 generators have 321 digits and the

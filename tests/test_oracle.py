@@ -1,8 +1,10 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
+from _strategies import all_contexts
 from dendriform.oracle import (
     build_relation_matrix,
     enumerate_contexts,
@@ -12,10 +14,10 @@ from dendriform.oracle import (
     reduce_vector,
     row_echelon,
 )
-from dendriform.poly import Polynomial, hole_path
+from dendriform.poly import Polynomial, apply_context, hole_path
 from dendriform.rewrite import RuleId, normal_form
 from dendriform.series import dim_closed
-from dendriform.terms import count_normal_lwords, generator, is_normal, l_prec, l_succ
+from dendriform.terms import Context, count_normal_lwords, generator, is_normal, l_prec, l_succ, normalize
 
 x1 = generator(1)
 
@@ -101,17 +103,35 @@ class TestContexts:
                 assert c.word.degree == h
 
     def test_counts(self):
-        # C(h-1) shapes, 2^(h-1) operation labelings, h hole slots, n^(h-1) letters
+        # Normal words of degree h with one of their h leaves made the hole
         assert len(enumerate_contexts(1, 1)) == 1
         assert len(enumerate_contexts(2, 1)) == 4
-        assert len(enumerate_contexts(3, 1)) == 24
+        assert len(enumerate_contexts(3, 1)) == 21
         assert len(enumerate_contexts(2, 3)) == 12
+
+    @pytest.mark.parametrize("h, n", [(h, n) for n in (1, 2) for h in range(1, 6)])
+    def test_only_normal_contexts(self, h, n):
+        contexts = enumerate_contexts(h, n)
+        assert all(c.word.normal and c.word.holes == 1 and c.word.degree == h for c in contexts)
+        assert len(set(contexts)) == len(contexts) == math.comb(3 * h - 2, h - 1) * n ** (h - 1)
+
+    def test_every_context_has_its_normal_form_enumerated(self):
+        # A context and its normal form (the hole read as a letter) embed
+        # every normal word alike, so the non-normal contexts add no row.
+        words = [Polynomial.monomial(u, n=2) for m in (1, 2) for u in enumerate_normal_lwords(m, 2)]
+        for h in range(1, 5):
+            normal = set(enumerate_contexts(h, 2))
+            for c in all_contexts(h, 2):
+                c_normal = Context(normalize(c.word))
+                assert c_normal in normal
+                for p in words:
+                    assert apply_context(c, p) == apply_context(c_normal, p)
 
     @pytest.mark.parametrize(
         "h, n, count, expected",
         [
-            (4, 1, 160, "540d109c71c101881f72a640646c2bfb85405499289bd6be5c606185d9e748f3"),
-            (3, 2, 96, "0ce4a770ef9d9838ca3306bdf0b7ba67a6c3e8ce2b08a7108d0a459ffef31aa8"),
+            (4, 1, 120, "321633621f2733e00c60f45c3abb4bdf46b343078a7dfc1ef5f4a2b8232cc784"),
+            (3, 2, 84, "e967da7ce5de280f752677cd775d35a03f9f7eea548d09b95d330650c643da6a"),
         ],
     )
     def test_order_is_pinned(self, h, n, count, expected):
@@ -135,12 +155,25 @@ class TestRelationMatrix:
 
     # Digests of the same rows as sorted lines, recorded at commit a836a1a,
     # before the enumerations were generated in order: the (5, 1) row order
-    # moved then, the rows themselves did not.
+    # moved then, the rows themselves did not.  The (5, 1) entries were
+    # taken again when contexts became normal, which drops repeated rows.
     SORTED_ROWS = {
-        (5, 1, False): "6137e2e4c76e3584e0a419aba9de572e94253d2259d746e0ae4e42cf5895d574",
-        (5, 1, True): "67b48307939a7d74ff46f7fbece657b246049a005c9a969e50720f54f5cfe4fa",
+        (5, 1, False): "7de539f2f7de161c84db969593d3e6768898c462b68dac08be0dc8a407a2a882",
+        (5, 1, True): "22ac18e81773e35512bfce5648b619e6c7f8cd0eb1ccea70134bbe8434025c03",
         (4, 2, False): "acbd19ffb5d046d178b4659a90c1fdcd67fb83a3d1504a53741408eae8df4da3",
         (4, 2, True): "e2990a2da376788a8595dea54b6ff318030589acb29ccb77717e3d524e442918",
+        (3, 3, False): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+        (3, 3, True): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+    }
+
+    # Digests of the distinct rows as sorted lines, recorded at commit
+    # 224d8c0, when contexts were every single-hole tree: the normal
+    # contexts alone span the same rows.
+    DISTINCT_ROWS = {
+        (5, 1, False): "fc935e285583ab43d6e5383da7e79875e53b91966cb832f885d3813c2fc34228",
+        (5, 1, True): "fc935e285583ab43d6e5383da7e79875e53b91966cb832f885d3813c2fc34228",
+        (4, 2, False): "ac03f1c25c70831708a0e9bc214273803b8303128c0028ed908ca971b7b12dd8",
+        (4, 2, True): "ac03f1c25c70831708a0e9bc214273803b8303128c0028ed908ca971b7b12dd8",
         (3, 3, False): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
         (3, 3, True): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
     }
@@ -148,8 +181,8 @@ class TestRelationMatrix:
     @pytest.mark.parametrize(
         "m, n, include_f3, count, expected",
         [
-            (5, 1, False, 162, "247022601ebb9c50ecd6446d4cbab6d27e4289abe31de1d7641f512347833df3"),
-            (5, 1, True, 174, "868b0c8903813d079250ac8a4e26118d8035f9ff8e1f40ae84ad6f2cbe1d1273"),
+            (5, 1, False, 156, "478c4e5ddeac1749556f4232dd745b5223a63162565f05ea1cd0c8320cca6b2b"),
+            (5, 1, True, 168, "e6e184928f44a1fc55fc78728d12a7a5a0c90dff3a8e32b95b627f7f26c9c299"),
             (4, 2, False, 320, "01ae76821b5738e0355276b74c74af2367d94b6ee27970fd825cd3dc61796ee9"),
             (4, 2, True, 336, "da937e4a58f79e5d46739cb5c87a61f68132c0fa906d470ab730aca78a2221fc"),
             (3, 3, False, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
@@ -164,11 +197,13 @@ class TestRelationMatrix:
         lines = [" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows]
         assert digest(lines) == expected
         assert digest(sorted(lines)) == self.SORTED_ROWS[m, n, include_f3]
+        assert digest(sorted(set(lines))) == self.DISTINCT_ROWS[m, n, include_f3]
 
-    @pytest.mark.parametrize("m, fill", [(6, 1909), (7, 11463)])
+    @pytest.mark.parametrize("m, fill", [(6, 1905), (7, 11401)])
     def test_elimination_fill_is_pinned(self, m, fill):
-        # Bindings read the enumeration ascending; read descending, the
-        # pivot rows hold 2,514 and 17,095 entries instead.
+        # Bindings and context factors read the enumeration ascending; with
+        # bindings read descending, the pivot rows hold 2,504 and 17,009
+        # entries instead.
         pivots = build_relation_matrix(m, 1).pivots
         assert sum(map(len, pivots.values())) == fill
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from _strategies import normal_words, polynomials, spliced
-from dendriform.oracle import enumerate_contexts
+from _strategies import all_contexts, normal_words, polynomials, spliced
 from dendriform.poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
 from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.terms import (
@@ -150,7 +149,7 @@ class TestApplyContext:
             rule_polynomial(RuleId.F3, (x2, y1, x1, y2), n=2) * Fraction(-3, 2),
             rule_polynomial(RuleId.F1, (y1, y2, y1), n=2) + rule_polynomial(RuleId.F2, (y2, y1, y2), n=2),
         ]
-        contexts = enumerate_contexts(4, 2)
+        contexts = all_contexts(4, 2)
         assert len(contexts) == 1280
         for c in contexts:
             for p in relations:

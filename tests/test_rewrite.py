@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from _strategies import polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
+from _strategies import all_contexts, polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
 from dendriform import rewrite, terms
-from dendriform.oracle import binding_tuples, enumerate_contexts, enumerate_dd_words, enumerate_normal_lwords
+from dendriform.oracle import binding_tuples, enumerate_dd_words, enumerate_normal_lwords
 from dendriform.poly import Polynomial, mul
 from dendriform.rewrite import (
     Redex,
@@ -102,7 +102,7 @@ class TestDDNormal:
     def test_flag_on_arbitrary_trees(self):
         # Normal or not, a flagged tree is normal and redex free, and the
         # pruned search still finds every redex.
-        trees = [c.word for c in enumerate_contexts(4, 2)]
+        trees = [c.word for c in all_contexts(4, 2)]
         assert any(not is_normal(w) for w in trees)
         for w in trees:
             assert w.dd == reference_is_dd(w)

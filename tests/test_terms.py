@@ -4,9 +4,9 @@ import weakref
 import pytest
 from hypothesis import given
 
-from _strategies import normal_words, reference_is_normal, reference_leaves, tree_words
+from _strategies import all_contexts, normal_words, reference_is_normal, reference_leaves, tree_words
 from dendriform import terms
-from dendriform.oracle import enumerate_contexts, enumerate_normal_lwords
+from dendriform.oracle import enumerate_normal_lwords
 from dendriform.terms import (
     PREC,
     SUCC,
@@ -127,7 +127,7 @@ class TestDegreeAndNormality:
 
     def test_walks_match_the_definitions(self):
         # The contexts cover normal and non-normal trees, flagged or not.
-        trees = [c.word for c in enumerate_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2))
+        trees = [c.word for c in all_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2))
         assert any(not is_normal(w) for w in trees) and any(not w.dd and is_normal(w) for w in trees)
         for w in trees:
             assert is_normal(w) == reference_is_normal(w)
@@ -216,7 +216,7 @@ class TestOrder:
         # any context, exhaustively at small degree.
         contexts = []
         for h in range(1, 4):
-            contexts.extend(enumerate_contexts(h, 2))
+            contexts.extend(all_contexts(h, 2))
         for m in range(1, 4):
             words = enumerate_normal_lwords(m, 2)  # descending
             for i in range(len(words)):
