@@ -141,13 +141,15 @@ def right_mult_sweep(max_total_degree: int, n: int) -> list[CompositionReport]:
     The compositions over x1 are checked once and relabeled into every
     leaf sequence over n generators (see the module docstring).
     """
+    if n < 1:
+        raise ValueError("alphabet size must be at least 1")
     reports = [check_right_mult(rule, b, v, n=1) for rule, b, v in _right_mult_instances(max_total_degree, 1)]
     return _relabeled(reports, n)
 
 
 def _check_pair(w: LWord, r1: Redex, r2: Redex, n: int) -> CompositionReport:
     difference = rewrite_step(w, r1, n=n) - rewrite_step(w, r2, n=n)
-    return _judge("inclusion", (r1.rule, r2.rule), w, difference, ("".join(r1.path), "".join(r2.path)))
+    return _judge("inclusion", (r1.rule, r2.rule), w, difference, (r1.path, r2.path))
 
 
 def _redex_pairs(words):

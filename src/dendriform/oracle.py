@@ -186,8 +186,8 @@ def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationM
             for bindings in binding_tuples(inst_degree, arity, n):
                 relation = rule_polynomial(rule, bindings, n=n)
                 for path in paths:
-                    embedded = fold_hole_path(path, relation)
-                    rows.append({column[w]: a for w, a in embedded._terms.items()})
+                    embedded = fold_hole_path(path, relation._terms.items())
+                    rows.append({column[w]: a for w, a in embedded.items()})
     return RelationMatrix(words, tuple(rows))
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 from .terms import (
     PREC,
+    SUCC,
     Context,
     LWord,
     Op,
@@ -199,8 +200,13 @@ def _require_same_alphabet(p: Polynomial, q: Polynomial) -> None:
 
 def mul(p: Polynomial, op: Op, q: Polynomial) -> Polynomial:
     """Bilinear extension of the basis products to polynomials."""
+    if op is PREC:
+        prod = l_prec
+    elif op is SUCC:
+        prod = l_succ
+    else:
+        raise ValueError(f"operation must be PREC or SUCC, got {op!r}")
     _require_same_alphabet(p, q)
-    prod = l_prec if op is PREC else l_succ
     acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
         for v, b in q._terms.items():
@@ -219,12 +225,10 @@ def leading(p: Polynomial) -> tuple[LWord, Coefficient]:
 def apply_context(c: Context, p: Polynomial) -> Polynomial:
     """Substitute every word of p into the hole of c and re-normalize.
 
-    The context may be any tree.  Normalizing op(a, b) gives the op-product
-    of the normalized a and b, and the words of p are already normal, so
-    each word is folded up the hole path with the basis products against
-    the normalized siblings off the path; nothing else is rebuilt.
+    The context may be any tree: its hole path normalizes the siblings off
+    the path, and fold_hole_path folds each word of p up it.
     """
-    return fold_hole_path(hole_path(c, p.n), p)
+    return Polynomial._raw(p.n, fold_hole_path(hole_path(c, p.n), p._terms.items()))
 
 
 HolePath = tuple[tuple[Callable[[LWord, LWord], LWord], bool, LWord], ...]
@@ -234,8 +238,8 @@ def hole_path(c: Context, n: int) -> HolePath:
     """The steps from the hole of c up to its root, for fold_hole_path.
 
     Each step is (basis product, whether the hole side is the left operand,
-    normalized sibling).  A path depends on the context alone, so a caller
-    that substitutes many polynomials into one context walks it once.
+    normalized sibling), the form rewrite steps fold too.  A context's path
+    serves every polynomial substituted into it, walked once.
     """
     w = c.word
     if max_generator_index(w) > n:
@@ -252,11 +256,15 @@ def hole_path(c: Context, n: int) -> HolePath:
     return tuple(reversed(path))
 
 
-def fold_hole_path(path: HolePath, p: Polynomial) -> Polynomial:
-    """p substituted into the context whose hole_path is path, normalized."""
+def fold_hole_path(path: HolePath, pairs: Iterable[tuple[LWord, Coefficient]]) -> dict[LWord, Coefficient]:
+    """The words of pairs put into the hole of path's context, normalized.
+
+    Normalizing op(a, b) with normal a and b gives their op-product, so each
+    normal word folds up the path of normal siblings by the basis products.
+    """
     acc: dict[LWord, Coefficient] = {}
-    for u, a in p._terms.items():
+    for u, a in pairs:
         for product, hole_left, sibling in path:
             u = product(u, sibling) if hole_left else product(sibling, u)
         _accumulate(acc, u, a)
-    return Polynomial._raw(p.n, acc)
+    return acc

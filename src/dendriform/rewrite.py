@@ -15,10 +15,12 @@ redex searches below skip every subterm already on the basis, the first
 redex is found by walking down a single path, and a word off the basis
 keeps its normal form in its ``nf`` slot, so under the weak intern table a
 normal form dies with its word.  The intermediate words of a reduction
-live only until its ``normal_form`` call returns.  Every rewrite step
-replaces one word by a combination of strictly smaller words (checked at
-each step), so reduction terminates; confluence is verified exhaustively
-at bounded degree by the companion basis-check module.
+live only until its ``normal_form`` call returns.  A rewrite step is the
+rule's right side folded up its redex's hole path by ``poly.fold_hole_path``,
+the splice the relation rows use too.  Every rewrite step replaces one
+word by a combination of strictly smaller words (checked at each step), so
+reduction terminates; confluence is verified exhaustively at bounded degree
+by the companion basis-check module.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .poly import Coefficient, Polynomial, _accumulate
+from .poly import AlphabetMismatchError, Coefficient, Polynomial, _accumulate, fold_hole_path
 from .terms import (
     PREC,
     SUCC,
@@ -72,10 +74,10 @@ _SIDES = {
 
 @dataclass(frozen=True)
 class Redex:
-    """One rewritable occurrence: rule, root-relative path, matched subterms."""
+    """One rewritable occurrence: rule, path from the root (such as "LLR"), matched subterms."""
 
     rule: RuleId
-    path: tuple[str, ...]  # "L"/"R" steps from the root
+    path: str
     bindings: tuple[LWord, ...]
 
 
@@ -110,7 +112,7 @@ def find_redexes(u: LWord) -> list[Redex]:
     A subterm on the basis carries no redex, so the walk skips it.
     """
     out: list[Redex] = []
-    stack = [(u, ())]
+    stack = [(u, "")]
     while stack:
         u, path = stack.pop()
         if u.dd:
@@ -118,33 +120,32 @@ def find_redexes(u: LWord) -> list[Redex]:
         matched = match_rule_at(u)
         if matched is not None:
             out.append(Redex(matched[0], path, matched[1]))
-        stack.append((u.right, path + ("R",)))
-        stack.append((u.left, path + ("L",)))
+        stack.append((u.right, path + "R"))
+        stack.append((u.left, path + "L"))
     return out
 
 
 def _first_match(u: LWord):
     """The one-path walk to the preorder-first redex of a normal word.
 
-    Returns (rule, bindings, ancestors, path) with the ancestors the walk
-    passed through, root first, or None when u is DD-normal.  A normal word
-    off the basis carries a redex, so the walk stops at a matching subterm
-    and otherwise enters the left child when that is off the basis, else
-    the right child.
+    Returns (rule, bindings, steps), or None when u is DD-normal: the steps
+    of the redex's hole path in ``poly.hole_path``'s form, root first.  A
+    normal word off the basis carries a redex, so the walk stops at a
+    matching subterm and otherwise enters the left child when that is off
+    the basis, else the right child.
     """
-    ancestors: list[LWord] = []
-    path: list[str] = []
+    steps = []
     while not u.dd:
         matched = match_rule_at(u)
         if matched is not None:
-            return matched[0], matched[1], ancestors, path
-        ancestors.append(u)
+            return matched[0], matched[1], steps
+        product = l_succ if u.op is SUCC else l_prec
         if u.left.dd:
+            steps.append((product, False, u.left))
             u = u.right
-            path.append("R")
         else:
+            steps.append((product, True, u.right))
             u = u.left
-            path.append("L")
     return None
 
 
@@ -153,7 +154,7 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
 
     Instances rewrite to zero; they generate the ideal presenting the free
     dendriform algebra.  The alphabet size defaults to the largest index
-    appearing in the bindings.
+    appearing in the bindings; a smaller one raises AlphabetMismatchError.
     """
     bindings = tuple(bindings)
     if len(bindings) != rule.arity:
@@ -161,6 +162,8 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     for b in bindings:
         if not is_normal(b):
             raise ValueError(f"rule bindings must be normal words: {b}")
+        if n is not None and max_generator_index(b) > n:
+            raise AlphabetMismatchError(f"binding {b} uses generators beyond x{n}")
     left_side, right_side = _SIDES[rule]
     terms = {left_side(*bindings): 1}
     for w, c in right_side(*bindings):
@@ -170,24 +173,19 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     return Polynomial._raw(n, terms)
 
 
-def _fold_step(u: LWord, rule: RuleId, bindings, ancestors, path) -> dict[LWord, int]:
-    """The terms of one rewrite step of u, given the walk to its redex.
+def _step(u: LWord, rule: RuleId, bindings, steps) -> dict[LWord, int]:
+    """The terms of one rewrite step of u: the rule's right side at the
+    bindings, folded up the hole path of its redex, given root first.
 
-    Each right-side word is normal, and so is every sibling off the path
-    (a subterm of the normal word u).  Normalizing op(a, b) with normal a
-    and b gives the op-product of a and b, so folding the path back with
-    the basis products yields the normalized spliced word while visiting
-    only the path.  The products are injective, so the two words stay
-    distinct.
+    The siblings are subterms of the normal word u, so normal, as the fold
+    requires.  Every produced word must lie strictly below u
+    (``RewriteOrderError`` otherwise).
     """
-    out: dict[LWord, int] = {}
-    for w, c in _SIDES[rule][1](*bindings):
-        for above, step in zip(reversed(ancestors), reversed(path)):
-            product = l_succ if above.op is SUCC else l_prec
-            w = product(w, above.right) if step == "L" else product(above.left, w)
+    out = fold_hole_path(steps[::-1], _SIDES[rule][1](*bindings))
+    for w in out:
         if compare(w, u) >= 0:
-            raise RewriteOrderError(f"{rule.name} step at path {''.join(path)!r} failed to descend from {u}")
-        out[w] = c
+            path = "".join("L" if hole_left else "R" for _, hole_left, _ in steps)
+            raise RewriteOrderError(f"{rule.name} step at path {path!r} failed to descend from {u}")
     return out
 
 
@@ -197,21 +195,25 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     u must be a normal word, as every word of a polynomial is.  The redex
     must match u at its path (``StaleRedexError`` otherwise).  Every word
     of the result is strictly smaller than u, which is checked per produced
-    term (``RewriteOrderError`` otherwise).
+    term (``RewriteOrderError`` otherwise).  The alphabet size defaults to
+    the largest index in u; a smaller one raises AlphabetMismatchError.
     """
-    ancestors = []
+    steps = []
     target = u
-    for step in redex.path:
+    for side in redex.path:
         if target.op is None:
-            raise StaleRedexError(f"path {''.join(redex.path)!r} leaves the word")
-        ancestors.append(target)
-        target = target.left if step == "L" else target.right
+            raise StaleRedexError(f"path {redex.path!r} leaves the word")
+        left = side == "L"
+        steps.append((l_succ if target.op is SUCC else l_prec, left, target.right if left else target.left))
+        target = target.left if left else target.right
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
-        raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {''.join(redex.path)!r}")
+        raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {redex.path!r}")
     if n is None:
         n = max(1, max_generator_index(u))
-    return Polynomial._raw(n, _fold_step(u, redex.rule, redex.bindings, ancestors, redex.path))
+    elif max_generator_index(u) > n:
+        raise AlphabetMismatchError(f"word {u} uses generators beyond x{n}")
+    return Polynomial._raw(n, _step(u, redex.rule, redex.bindings, steps))
 
 
 # Never written: normal forms live on their words (see _nf_word).  It stays
@@ -224,12 +226,12 @@ def _nf_word(u: LWord, keep: list) -> dict[LWord, int]:
     if u.dd:
         return {u: 1}
     if u.nf is None:
-        # The walk that found the redex hands its ancestors straight to the
+        # The walk that found the redex hands its hole path straight to the
         # fold, so the path is not walked or matched a second time.
-        steps = _fold_step(u, *_first_match(u))
-        keep.append(steps)
+        step = _step(u, *_first_match(u))
+        keep.append(step)
         res = {}
-        for w, c in steps.items():
+        for w, c in step.items():
             for w2, c2 in _nf_word(w, keep).items():
                 _accumulate(res, w2, c * c2)
         # Every rule coefficient is +-1 and rewriting never divides, so res holds ints.

@@ -212,6 +212,8 @@ def gk_statistic(d: int, n: int) -> GKStatistic:
     """
     if d < 2:
         raise ValueError("the growth statistic needs degree at least 2")
+    if n < 1:
+        raise ValueError("alphabet size must be at least 1")
     ctx = Context(prec=_GK_PRECISION, rounding=ROUND_HALF_EVEN, traps=[])
     guard = _GK_GUARD_DIGITS
     while True:

@@ -109,14 +109,14 @@ def reference_leaves(u):
     return [u.index] if u.op is None else reference_leaves(u.left) + reference_leaves(u.right)
 
 
-def reference_redexes(u, path=()):
+def reference_redexes(u, path=""):
     """Every redex of any tree in preorder: ``match_rule_at`` at every
     subterm, with no flag read and no subtree skipped."""
     matched = match_rule_at(u)
     out = [] if matched is None else [Redex(matched[0], path, matched[1])]
     if u.op is not None:
-        out += reference_redexes(u.left, path + ("L",))
-        out += reference_redexes(u.right, path + ("R",))
+        out += reference_redexes(u.left, path + "L")
+        out += reference_redexes(u.right, path + "R")
     return out
 
 

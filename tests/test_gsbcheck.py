@@ -13,7 +13,7 @@ from dendriform.gsbcheck import (
     named_ambiguity_words,
     right_mult_sweep,
 )
-from dendriform.poly import Polynomial
+from dendriform.poly import AlphabetMismatchError, Polynomial
 from dendriform.rewrite import RuleId, find_redexes, normal_form, rewrite_step
 from dendriform.terms import compare, generator, l_prec, l_succ, parse_lword
 
@@ -43,6 +43,17 @@ class TestRightMult:
         report = check_right_mult(RuleId.F2, (x1, x2, x3), x4)
         assert report.max_intermediate is not None
         assert compare(report.max_intermediate, report.ambiguity_word) <= 0
+
+    def test_alphabet_beyond_the_bindings_is_refused(self):
+        with pytest.raises(AlphabetMismatchError):
+            check_right_mult(RuleId.F2, (x1, x2, x3), x1, n=2)
+        with pytest.raises(AlphabetMismatchError):
+            check_right_mult(RuleId.F2, (x1, x1, x1), x3, n=2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sweep_refuses_a_non_positive_alphabet(self, n):
+        with pytest.raises(ValueError, match="alphabet size must be at least 1"):
+            right_mult_sweep(6, n)
 
     def test_sweep_all_trivial(self):
         reports = right_mult_sweep(6, 1)
@@ -189,7 +200,7 @@ class TestRelabeling:
         assert len({_leaf_sequence(r.ambiguity_word) for r in failing}) == 2**4
         for r in failing:
             assert collapse(r.ambiguity_word) is ambiguity
-            assert r.paths == ("".join(r1.path), "".join(r2.path))
+            assert r.paths == (r1.path, r2.path)
             assert r.residual.n == 2
             ((word, coeff),) = r.residual.terms()
             assert coeff == 1 and collapse(word) is witness

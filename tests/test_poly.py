@@ -81,6 +81,12 @@ class TestMul:
         p = mul(mono(x1) + mono(x2), SUCC, mono(x3))
         assert p == mono(l_succ(x1, x3)) + mono(l_succ(x2, x3))
 
+    @pytest.mark.parametrize("op", ["<", 2, 1, None])
+    def test_only_the_two_operations(self, op):
+        # 2 and 1 equal PREC and SUCC but are not them.
+        with pytest.raises(ValueError, match="operation must be PREC or SUCC"):
+            mul(mono(x1), op, mono(x2))
+
     @given(polynomials(), polynomials(), polynomials())
     def test_distributes_over_add(self, p, q, r):
         for op in (PREC, SUCC):

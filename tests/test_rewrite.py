@@ -13,7 +13,7 @@ from hypothesis import given
 from _strategies import all_contexts, polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
 from dendriform import rewrite, terms
 from dendriform.oracle import binding_tuples, enumerate_dd_words, enumerate_normal_lwords
-from dendriform.poly import Polynomial, mul
+from dendriform.poly import AlphabetMismatchError, Polynomial, hole_path, mul
 from dendriform.rewrite import (
     Redex,
     RewriteOrderError,
@@ -50,23 +50,36 @@ def mono(word, coeff=1, n=4):
 
 
 def first_match(w):
-    """``_first_match`` on w as (rule, bindings, joined path), or None.
+    """``_first_match`` on w as (rule, bindings, path string), or None.
 
-    Also checks that its ancestors are the subterms the path passes through.
+    Also checks each of its steps, root first, against the subterm the walk
+    passes through: that subterm's product, the side the walk enters and the
+    sibling it leaves.
     """
     found = rewrite._first_match(w)
     if found is None:
         return None
-    rule, bindings, ancestors, path = found
-    assert len(ancestors) == len(path)
-    for above, step in zip(ancestors, path):
-        assert above is w
-        w = w.left if step == "L" else w.right
+    rule, bindings, steps = found
+    path = []
+    for product, hole_left, sibling in steps:
+        assert product is (l_prec if w.op is PREC else l_succ)
+        assert sibling is (w.right if hole_left else w.left)
+        path.append("L" if hole_left else "R")
+        w = w.left if hole_left else w.right
     return rule, bindings, "".join(path)
 
 
-def joined(redex):
-    return redex.rule, redex.bindings, "".join(redex.path)
+def unpacked(redex):
+    return redex.rule, redex.bindings, redex.path
+
+
+def hole_at(w, path):
+    """The context w with a hole at path in place of its subterm there."""
+    if not path:
+        return hole()
+    if path[0] == "L":
+        return node(w.op, hole_at(w.left, path[1:]), w.right)
+    return node(w.op, w.left, hole_at(w.right, path[1:]))
 
 
 class TestDDNormal:
@@ -97,7 +110,7 @@ class TestDDNormal:
                 expected = reference_redexes(w)
                 assert w.dd == reference_is_dd(w) == (expected == [])
                 assert find_redexes(w) == expected
-                assert first_match(w) == (joined(expected[0]) if expected else None)
+                assert first_match(w) == (unpacked(expected[0]) if expected else None)
 
     def test_flag_on_arbitrary_trees(self):
         # Normal or not, a flagged tree is normal and redex free, and the
@@ -183,6 +196,11 @@ class TestRulePolynomials:
                 checked += 1
         assert checked == {3: 222, 4: 61}[rule.arity]
 
+    def test_alphabet_beyond_the_bindings_is_refused(self):
+        with pytest.raises(AlphabetMismatchError):
+            rule_polynomial(RuleId.F1, (x1, x2, x3), n=2)
+        assert rule_polynomial(RuleId.F1, (x1, x2, x3), n=3) == rule_polynomial(RuleId.F1, (x1, x2, x3))
+
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             rule_polynomial(RuleId.F1, (x1, x2))
@@ -196,26 +214,50 @@ class TestFindRedexes:
 
     def test_rule1_at_root(self):
         w = l_prec(l_prec(x1, x2), x3)
-        assert find_redexes(w) == [Redex(RuleId.F1, (), (x1, x2, x3))]
+        assert find_redexes(w) == [Redex(RuleId.F1, "", (x1, x2, x3))]
 
     def test_rule3_at_root(self):
         w = l_succ(l_succ(l_succ(x1, x2), x3), x4)
-        assert find_redexes(w) == [Redex(RuleId.F3, (), (x1, x2, x3, x4))]
+        assert find_redexes(w) == [Redex(RuleId.F3, "", (x1, x2, x3, x4))]
 
     def test_preorder_and_first_agree(self):
         for n in (1, 2):
             for m in range(3, 7):
                 for w in enumerate_normal_lwords(m, n):
                     redexes = find_redexes(w)
-                    assert first_match(w) == (joined(redexes[0]) if redexes else None)
+                    assert first_match(w) == (unpacked(redexes[0]) if redexes else None)
 
     def test_paths_address_matching_subterms(self):
         w = node(SUCC, node(PREC, node(PREC, x1, x2), x3), x4)
         redexes = find_redexes(w)
         assert [(r.rule, r.path) for r in redexes] == [
-            (RuleId.F2, ()),
-            (RuleId.F1, ("L",)),
+            (RuleId.F2, ""),
+            (RuleId.F1, "L"),
         ]
+
+    def test_paths_are_strings(self):
+        for n in (1, 2):
+            for m in range(3, 7):
+                for w in enumerate_normal_lwords(m, n):
+                    assert all(type(r.path) is str for r in find_redexes(w))
+
+    @pytest.mark.parametrize("max_degree,n", [(6, 1), (5, 2)])
+    def test_first_walk_is_the_hole_path(self, max_degree, n):
+        # The steps the first-redex walk hands to the fold are, in the
+        # fold's order, the hole path of the context with the hole at that
+        # redex: the same products, sides and sibling objects.
+        checked = 0
+        for m in range(3, max_degree + 1):
+            for w in enumerate_normal_lwords(m, n):
+                if w.dd:
+                    continue
+                steps = rewrite._first_match(w)[2]
+                expected = hole_path(Context(hole_at(w, find_redexes(w)[0].path)), n)
+                assert len(steps) == len(expected)
+                for (product, hole_left, sibling), (e_product, e_hole_left, e_sibling) in zip(steps[::-1], expected):
+                    assert product is e_product and hole_left is e_hole_left and sibling is e_sibling
+                checked += 1
+        assert checked == {1: 715, 2: 3504}[n]  # the normal words off the basis
 
 
 class TestRewriteStep:
@@ -238,18 +280,26 @@ class TestRewriteStep:
 
     def test_stale_redex(self):
         w = l_prec(l_prec(x1, x2), x3)
-        stale = Redex(RuleId.F1, ("L",), (x1, x2, x3))
+        stale = Redex(RuleId.F1, "L", (x1, x2, x3))
         with pytest.raises(StaleRedexError) as err:
             rewrite_step(w, stale)
         assert str(err.value) == "no F1 redex with those bindings at path 'L'"
-        wrong_bindings = Redex(RuleId.F1, (), (x1, x2, x4))
+        wrong_bindings = Redex(RuleId.F1, "", (x1, x2, x4))
         with pytest.raises(StaleRedexError) as err:
             rewrite_step(w, wrong_bindings)
         assert str(err.value) == "no F1 redex with those bindings at path ''"
-        off_the_word = Redex(RuleId.F1, ("L", "L", "L"), (x1, x2, x3))
+        off_the_word = Redex(RuleId.F1, "LLL", (x1, x2, x3))
         with pytest.raises(StaleRedexError) as err:
             rewrite_step(w, off_the_word)
         assert str(err.value) == "path 'LLL' leaves the word"
+
+    def test_alphabet_beyond_the_word_is_refused(self):
+        w = l_prec(l_prec(x1, x2), x3)
+        [r] = find_redexes(w)
+        for n in (1, 2):
+            with pytest.raises(AlphabetMismatchError):
+                rewrite_step(w, r, n=n)
+        assert rewrite_step(w, r, n=3) == rewrite_step(w, r)
 
     def test_strict_descent_everywhere(self):
         for n in (1, 2):
@@ -266,13 +316,6 @@ class TestRewriteStep:
         # A step subtracts the rule relation spliced into the word and
         # re-normalized as a whole; the reference does not use the fold that
         # both rewrite steps and apply_context share.
-        def hole_at(w, path):
-            if not path:
-                return hole()
-            if path[0] == "L":
-                return node(w.op, hole_at(w.left, path[1:]), w.right)
-            return node(w.op, w.left, hole_at(w.right, path[1:]))
-
         steps = 0
         for n, max_degree in ((1, 6), (2, 5)):
             for m in range(3, max_degree + 1):
@@ -371,14 +414,14 @@ class TestNormalForm:
         # Generators x7..x9 at degree 5 keep the words out of every
         # enumeration another test may have cached.
         steps = []
-        real = rewrite._fold_step
+        real = rewrite._step
 
         def recorded(*args):
             out = real(*args)
             steps.extend(weakref.ref(w) for w in out)
             return out
 
-        monkeypatch.setattr(rewrite, "_fold_step", recorded)
+        monkeypatch.setattr(rewrite, "_step", recorded)
         u = l_prec(l_prec(l_prec(x7, x8), x9), l_succ(x7, x8))
         p = normal_form(Polynomial.monomial(u, n=9))
         assert len(p) == 4 and u.nf == p._terms and steps
@@ -474,8 +517,8 @@ class TestDeepWords:
         # the bottom's, below the whole chain; the recursive reference itself
         # would build a path per level.
         [bottom] = reference_redexes(node(PREC, node(PREC, x1, x2), x3))
-        expected = Redex(bottom.rule, ("R",) * self.DEPTH + bottom.path, bottom.bindings)
-        assert first_match(reducible) == joined(expected)
+        expected = Redex(bottom.rule, "R" * self.DEPTH + bottom.path, bottom.bindings)
+        assert first_match(reducible) == unpacked(expected)
         assert find_redexes(reducible) == [expected]
         p = Polynomial(3, {basis: 1, reducible: 1})
         assert max_reducible_word(p) is reducible

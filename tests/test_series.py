@@ -155,6 +155,11 @@ class TestGrowthStatistic:
         with pytest.raises(ValueError):
             gk_statistic(1, 1)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_alphabet_validation(self, n):
+        with pytest.raises(ValueError, match="alphabet size must be at least 1"):
+            gk_statistic(10, n)
+
 
 def exact_route(d, n):
     """log dim / log degree from the exact dimension, 40 digits, half-even."""
