@@ -27,6 +27,7 @@ from .oracle import (
     enumerate_dd_words,
     enumerate_normal_lwords,
     quotient_dim,
+    reduce_vector,
     row_echelon,
 )
 from .poly import Polynomial, mul
@@ -62,15 +63,26 @@ def criterion_2_seed_dimensions():
     return ok, {}
 
 
-def criterion_3_oracle_quotient():
-    """Exact elimination quotient equals Catalan(m) * n^m; F3 rows redundant.
+def pivot_leads_off_the_basis(matrix) -> bool:
+    """Whether the pivot leads of a relation matrix are its normal words off the basis.
 
-    Degrees 1..7 over one generator and 1..5 over two, with the F3
-    redundancy checked from degree 3 on.  Over two generators the quotient
-    is also eliminated directly over the two-generator rows, with and
-    without F3, and must agree with quotient_dim, which scales the x1
-    quotient by 2^m: the direct rank is the independent check of that
-    scaling.
+    The pivot keys are the leading words of the ideal's degree piece, so
+    this is the composition-diamond criterion for S on the elimination's
+    own data.  It reads no rewrite rule, only the ``dd`` flag.
+    """
+    words = matrix.words
+    return {words[c] for c in matrix.pivots} == {w for w in words if not w.dd}
+
+
+def criterion_3_oracle_quotient():
+    """Exact elimination quotient equals Catalan(m) * n^m; pivot leads off the basis; F3 derived.
+
+    Degrees 1..7 over one generator and 1..5 over two.  From degree 3 on,
+    each case is also eliminated once directly over its n generators: the
+    rank must agree with quotient_dim, which scales the x1 quotient by n^m
+    (the direct rank is the independent check of that scaling), and the
+    pivot leads must be the normal words off the basis.  F3(x1, x2, x3, x4)
+    must reduce to zero against the F1/F2 pivots at (4, 4) (see ``oracle``).
     """
     ok = True
     counts = {}
@@ -81,13 +93,14 @@ def criterion_3_oracle_quotient():
         ok = ok and got == expected
         ok = ok and len(enumerate_dd_words(m, n)) == expected
         if m >= 3:
-            ok = ok and quotient_dim(m, n, include_f3=True) == got
-            if n > 1:
-                n_words = len(enumerate_normal_lwords(m, n))
-                for include_f3 in (False, True):
-                    ok = ok and n_words - build_relation_matrix(m, n, include_f3).rank == got
+            matrix = build_relation_matrix(m, n)
+            ok = ok and len(enumerate_normal_lwords(m, n)) - matrix.rank == got
+            ok = ok and pivot_leads_off_the_basis(matrix)
         elif n > 1:
             ok = ok and len(enumerate_normal_lwords(m, n)) == got
+    matrix = build_relation_matrix(4, 4)
+    f3 = rule_polynomial(RuleId.F3, [generator(i) for i in range(1, 5)], n=4)
+    ok = ok and not reduce_vector({matrix.words.index(w): a for w, a in f3.terms()}, matrix.pivots)
     return ok, counts
 
 
@@ -238,7 +251,7 @@ def planar_grading():
     """Words, relations and compositions split into leaf-sequence blocks, and kappa is faithful on each.
 
     kappa sends every generator to x1.  Over (<=5,2) and (<=4,3): every
-    F1/F2/F3 relation row and every composition of the basis checks lies
+    F1/F2 relation row and every basis-check composition (F3's too) lies
     in one block (the leaf sequence of its bound word); every block is a
     copy of the degree's words over x1 under kappa; normal_form keeps each
     word in its block and commutes with kappa; and within each block
@@ -278,7 +291,7 @@ def planar_grading():
                     counts["normal_form_mismatches"] += collapsed != normal_form(Polynomial.monomial(kappa(w)))
                     counts["normal_forms"] += 1
             if m >= 3:
-                matrix = build_relation_matrix(m, n, include_f3=True)
+                matrix = build_relation_matrix(m, n)
                 sequences = [_leaf_sequence(w) for w in matrix.words]
                 row_blocks: dict[tuple[int, ...], list] = {}
                 for row in matrix.rows:
@@ -288,7 +301,7 @@ def planar_grading():
                         row_blocks.setdefault(spanned.pop(), []).append(row)
                 counts["relation_rows"] += len(matrix.rows)
                 # A block without rows has rank 0, below the x1 rank.
-                rank = build_relation_matrix(m, 1, include_f3=True).rank
+                rank = build_relation_matrix(m, 1).rank
                 counts["row_blocks"] += len(row_blocks)
                 counts["rank_mismatches"] += n**m - len(row_blocks)
                 counts["rank_mismatches"] += sum(len(row_echelon(rows)) != rank for rows in row_blocks.values())

@@ -224,7 +224,7 @@ def _cmd_oracle_dim(args) -> int:
     # the closed form are at most it.
     _refuse_more_digits_than_str_allows("oracle-dim", count_normal_lwords, m, n, "at --generators and --degree")
     n_words = count_normal_lwords(m, n)
-    quotient = oracle.quotient_dim(m, n, args.include_f3)
+    quotient = oracle.quotient_dim(m, n)
     rank = n_words - quotient
     closed = series.dim_closed(m, n)
     payload = {
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-dim", parents=[common], help="quotient dimension by exact elimination")
     p.add_argument("--generators", type=_positive_int, required=True)
     p.add_argument("--degree", type=_positive_int, required=True)
-    p.add_argument("--include-f3", action="store_true", help="also add the redundant F3 rows")
     p.set_defaults(func=_cmd_oracle_dim)
 
     p = sub.add_parser("audit", parents=[common], help="run every acceptance check of the paper's claims")

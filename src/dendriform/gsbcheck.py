@@ -141,6 +141,8 @@ def right_mult_sweep(max_total_degree: int, n: int) -> list[CompositionReport]:
     The compositions over x1 are checked once and relabeled into every
     leaf sequence over n generators (see the module docstring).
     """
+    if max_total_degree < 3:
+        raise ValueError("redexes need degree at least 3")
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
     reports = [check_right_mult(rule, b, v, n=1) for rule, b, v in _right_mult_instances(max_total_degree, 1)]
@@ -283,6 +285,8 @@ def coverage_audit(max_degree: int, n: int) -> dict[str, int]:
     to the bound (classification only, no reduction), plus the number of
     right-multiplication instances per SUCC-leading rule.
     """
+    if max_degree < 3:
+        raise ValueError("redexes need degree at least 3")
     families: Counter[str] = Counter(
         classify_redex_pair(r1, r2) for _, r1, r2 in _redex_pairs(_normal_words_from_degree_3(max_degree, n))
     )

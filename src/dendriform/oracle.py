@@ -27,6 +27,11 @@ The word count and the rank are therefore n^m times those over x1, and
 so is the quotient dimension.  ``build_relation_matrix`` stays direct over
 n generators, and the audit's criterion 3 and ``planar_grading`` check the
 scaling against it.
+
+The rows come from F1 and F2 alone.  F3(x1, x2, x3, x4) lies in their
+span at (4, 4) (audit criterion 3).  Substituting normal words for the
+generators is a homomorphism taking F1/F2 instances in contexts to such
+instances, so every F3 instance, in any degree, lies in their ideal.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from .poly import Coefficient, fold_hole_path, hole_path
 from .poly import apply_context  # noqa: F401  bench/tracing.py rebinds oracle.apply_context
 from .rewrite import RuleId, rule_polynomial
 from .terms import PREC, SUCC, Context, LWord, generator, hole, node
-
-_BASE_RULES = (RuleId.F1, RuleId.F2)
 
 
 @lru_cache(maxsize=None)
@@ -165,25 +168,22 @@ class RelationMatrix:
         return f"RelationMatrix(rows={len(self.rows)}, cols={len(self.words)})"
 
 
-def build_relation_matrix(m: int, n: int, include_f3: bool = False) -> RelationMatrix:
+def build_relation_matrix(m: int, n: int) -> RelationMatrix:
     """Rows of the degree-m relation module over the normal words.
 
     Bindings run over all normal words with total degree d, contexts over
-    all normal single-hole words with m - d + 1 leaves, for every d the
-    rule admits.  F3 rows are consequences of the F1/F2 rows and are
-    included only on request (their presence never changes the rank).
+    all normal single-hole words with m - d + 1 leaves, for every d >= 3.
+    F3 adds no rows: its instances lie in the ideal of F1 and F2.
     """
     if m < 3:
         raise ValueError("there are no relations below degree 3")
     words = enumerate_normal_lwords(m, n)
     column = {w: i for i, w in enumerate(words)}
-    rules = _BASE_RULES + ((RuleId.F3,) if include_f3 else ())
     rows = []
-    for rule in rules:
-        arity = rule.arity
-        for inst_degree in range(arity, m + 1):
+    for rule in (RuleId.F1, RuleId.F2):
+        for inst_degree in range(rule.arity, m + 1):
             paths = [hole_path(c, n) for c in enumerate_contexts(m - inst_degree + 1, n)]
-            for bindings in binding_tuples(inst_degree, arity, n):
+            for bindings in binding_tuples(inst_degree, rule.arity, n):
                 relation = rule_polynomial(rule, bindings, n=n)
                 for path in paths:
                     embedded = fold_hole_path(path, relation._terms.items())
@@ -235,7 +235,7 @@ def reduce_vector(vec, pivots) -> dict[int, Coefficient]:
     return r
 
 
-def quotient_dim(m: int, n: int, include_f3: bool = False) -> int:
+def quotient_dim(m: int, n: int) -> int:
     """Dimension of the degree-m component of the quotient algebra.
 
     Word count minus relation rank; below degree 3 there are no relations
@@ -245,8 +245,8 @@ def quotient_dim(m: int, n: int, include_f3: bool = False) -> int:
     if m < 1 or n < 1:
         raise ValueError("degree and alphabet size must be at least 1")
     if n > 1:
-        return n**m * quotient_dim(m, 1, include_f3)
+        return n**m * quotient_dim(m, 1)
     n_words = len(enumerate_normal_lwords(m, n))
     if m < 3:
         return n_words
-    return n_words - build_relation_matrix(m, n, include_f3).rank
+    return n_words - build_relation_matrix(m, n).rank

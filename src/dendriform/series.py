@@ -274,7 +274,7 @@ def _ln_dim_enclosure(d: int, n: int, prec: int) -> tuple[Decimal, Decimal]:
         )
         total = sum(terms)
     bound = 55 * sum(int(t.copy_abs()) + 1 for t in terms) + 2 * prec + 3
-    err = Decimal(f"{bound}E-{prec}")
+    err = Decimal(bound).scaleb(-prec, Context(prec=prec, rounding=ROUND_CEILING, traps=[]))
     lo = Context(prec=prec, rounding=ROUND_FLOOR, traps=[]).subtract(total, err)
     hi = Context(prec=prec, rounding=ROUND_CEILING, traps=[]).add(total, err)
     return lo, hi

@@ -199,7 +199,7 @@ def test_oracle_dim_beyond_the_digit_limit_exits_2_before_eliminating(capsys, mo
         assert code == 2 and out == "" and calls == []
         assert err == "usage error: oracle-dim needs values of at most 640 digits (sys.get_int_max_str_digits) at --generators and --degree\n"
         code, out, err = run(capsys, *argv, "1")
-        assert code == 0 and err == "" and str(10**320) in out and calls[0] == (1, 10**320, False)
+        assert code == 0 and err == "" and str(10**320) in out and calls[0] == (1, 10**320)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -259,6 +259,25 @@ def test_closed_stdout_exits_quietly(argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_STDOUT_CLOSED
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--generators", "1", "--degrees", str(10**4294)),
+        ("--generators", "7", "--degrees", f"{10**4299},{10**4299 - 1}"),
+        ("--generators", "7", "--degrees", f"{10**4299},{10**4299 - 1}", "--format", "json"),
+    ],
+    ids=["4295-digits", "4300-digits-text", "4300-digits-json"],
+)
+def test_gk_at_degrees_near_the_digit_limit_exits_0(argv):
+    # The enclosure's error bound there has more digits than Python turns
+    # into text, so it must be built without a string.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dendriform", "gk", *argv], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("E+429") == argv[3].count(",") + 1
 
 
 class TestReduce:
@@ -449,13 +468,13 @@ class TestVerification:
             "rank": 16,
         }
 
-    def test_oracle_dim_include_f3(self, capsys):
-        code, out, _ = run(
-            capsys, "oracle-dim", "--generators", "1", "--degree", "4", "--include-f3",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["quotient_dim"] == 14
+    def test_oracle_dim_refuses_the_retired_f3_flag(self, capsys):
+        # F3 lies in the ideal of F1 and F2, so there are no F3 rows to add.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "oracle-dim", "--generators", "1", "--degree", "4", "--include-f3")
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --include-f3" in err
 
     def test_oracle_dim_enumerates_only_over_x1(self, capsys, monkeypatch):
         from dendriform import oracle
@@ -526,7 +545,7 @@ def _left_comb(degree):
             "98e8c2a9f0f8c54c65392259cd128416e99f9f3cfc063664e581f932aacc6b50",
         ),
         (
-            ("oracle-dim", "--generators", "2", "--degree", "4", "--include-f3", "--format", "json"),
+            ("oracle-dim", "--generators", "2", "--degree", "4", "--format", "json"),
             "47d0edcf11a12af99f6294ab7225b7cf7c2d6e30d547a26e9becc689d68823af",
         ),
         # Recorded at commit 1f937d1, where gk took ln of the exact dimension.
@@ -564,7 +583,7 @@ def _left_comb(degree):
         ),
     ],
     ids=[
-        "verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2-f3",
+        "verify-6-1-named", "verify-5-2", "reduce-readme", "reduce-left-combs", "oracle-5-1", "oracle-4-2",
         "gk-3-text", "gk-3-json", "gk-readme-text", "gk-readme-json", "hilbert-3-200", "verify-5-3-named",
         "oracle-5-3",
     ],

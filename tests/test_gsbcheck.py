@@ -112,6 +112,15 @@ def test_passing_reports_share_the_one_zero(sweep, n):
     assert passing and all(r.residual is Polynomial.zero(n) for r in passing)
 
 
+@pytest.mark.parametrize("degree", [2, -5])
+@pytest.mark.parametrize("sweep", [right_mult_sweep, gsbcheck.coverage_audit], ids=["right_mult", "coverage"])
+def test_sweeps_refuse_a_degree_below_three(sweep, degree):
+    # As check_local_confluence does: below degree 3 a sweep finds nothing
+    # to check, and an empty report list would read as "every report ok".
+    with pytest.raises(ValueError, match="redexes need degree at least 3"):
+        sweep(degree, 1)
+
+
 class TestNamedCases:
     def test_shapes(self):
         words = named_ambiguity_words(6)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from _strategies import all_contexts
+from dendriform import rewrite
+from dendriform.audit import criterion_3_oracle_quotient, pivot_leads_off_the_basis
 from dendriform.oracle import (
     build_relation_matrix,
     enumerate_contexts,
@@ -15,11 +17,24 @@ from dendriform.oracle import (
     row_echelon,
 )
 from dendriform.poly import Polynomial, apply_context, hole_path
-from dendriform.rewrite import RuleId, normal_form
+from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.series import dim_closed
 from dendriform.terms import Context, count_normal_lwords, generator, is_normal, l_prec, l_succ, normalize
 
 x1 = generator(1)
+
+
+def _f3_vector():
+    """F3(x1, x2, x3, x4) in the columns of the degree-4 relation matrix over four generators."""
+    column = {w: i for i, w in enumerate(enumerate_normal_lwords(4, 4))}
+    f3 = rule_polynomial(RuleId.F3, [generator(i) for i in range(1, 5)], n=4)
+    return {column[w]: a for w, a in f3.terms()}
+
+
+def _flipped_right_side(rule):
+    """The rule's sides with the sign of the right side's -1 term flipped to +1."""
+    left, right = rewrite._SIDES[rule]
+    return left, lambda *xs: tuple((w, -a if a == -1 else a) for w, a in right(*xs))
 
 
 def digest(lines):
@@ -158,46 +173,37 @@ class TestRelationMatrix:
     # moved then, the rows themselves did not.  The (5, 1) entries were
     # taken again when contexts became normal, which drops repeated rows.
     SORTED_ROWS = {
-        (5, 1, False): "7de539f2f7de161c84db969593d3e6768898c462b68dac08be0dc8a407a2a882",
-        (5, 1, True): "22ac18e81773e35512bfce5648b619e6c7f8cd0eb1ccea70134bbe8434025c03",
-        (4, 2, False): "acbd19ffb5d046d178b4659a90c1fdcd67fb83a3d1504a53741408eae8df4da3",
-        (4, 2, True): "e2990a2da376788a8595dea54b6ff318030589acb29ccb77717e3d524e442918",
-        (3, 3, False): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
-        (3, 3, True): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+        (5, 1): "7de539f2f7de161c84db969593d3e6768898c462b68dac08be0dc8a407a2a882",
+        (4, 2): "acbd19ffb5d046d178b4659a90c1fdcd67fb83a3d1504a53741408eae8df4da3",
+        (3, 3): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
     }
 
     # Digests of the distinct rows as sorted lines, recorded at commit
     # 224d8c0, when contexts were every single-hole tree: the normal
     # contexts alone span the same rows.
     DISTINCT_ROWS = {
-        (5, 1, False): "fc935e285583ab43d6e5383da7e79875e53b91966cb832f885d3813c2fc34228",
-        (5, 1, True): "fc935e285583ab43d6e5383da7e79875e53b91966cb832f885d3813c2fc34228",
-        (4, 2, False): "ac03f1c25c70831708a0e9bc214273803b8303128c0028ed908ca971b7b12dd8",
-        (4, 2, True): "ac03f1c25c70831708a0e9bc214273803b8303128c0028ed908ca971b7b12dd8",
-        (3, 3, False): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
-        (3, 3, True): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
+        (5, 1): "fc935e285583ab43d6e5383da7e79875e53b91966cb832f885d3813c2fc34228",
+        (4, 2): "ac03f1c25c70831708a0e9bc214273803b8303128c0028ed908ca971b7b12dd8",
+        (3, 3): "332018c041a9557db84600326b537b410175cddfbedf2c7205d170f3aec75a35",
     }
 
     @pytest.mark.parametrize(
-        "m, n, include_f3, count, expected",
+        "m, n, count, expected",
         [
-            (5, 1, False, 156, "478c4e5ddeac1749556f4232dd745b5223a63162565f05ea1cd0c8320cca6b2b"),
-            (5, 1, True, 168, "e6e184928f44a1fc55fc78728d12a7a5a0c90dff3a8e32b95b627f7f26c9c299"),
-            (4, 2, False, 320, "01ae76821b5738e0355276b74c74af2367d94b6ee27970fd825cd3dc61796ee9"),
-            (4, 2, True, 336, "da937e4a58f79e5d46739cb5c87a61f68132c0fa906d470ab730aca78a2221fc"),
-            (3, 3, False, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
-            (3, 3, True, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
+            (5, 1, 156, "478c4e5ddeac1749556f4232dd745b5223a63162565f05ea1cd0c8320cca6b2b"),
+            (4, 2, 320, "01ae76821b5738e0355276b74c74af2367d94b6ee27970fd825cd3dc61796ee9"),
+            (3, 3, 54, "7a5a7553d00e9a9ef3f61d740b2c4adb3e6095c04a145f6ee54f5ca61b53a11a"),
         ],
     )
-    def test_row_order_is_pinned(self, m, n, include_f3, count, expected):
+    def test_row_order_is_pinned(self, m, n, count, expected):
         # Row order decides the elimination work; a reordered enumeration
         # would change it without changing any rank.
-        rows = build_relation_matrix(m, n, include_f3).rows
+        rows = build_relation_matrix(m, n).rows
         assert len(rows) == count
         lines = [" ".join(f"{c}:{a}" for c, a in sorted(row.items())) for row in rows]
         assert digest(lines) == expected
-        assert digest(sorted(lines)) == self.SORTED_ROWS[m, n, include_f3]
-        assert digest(sorted(set(lines))) == self.DISTINCT_ROWS[m, n, include_f3]
+        assert digest(sorted(lines)) == self.SORTED_ROWS[m, n]
+        assert digest(sorted(set(lines))) == self.DISTINCT_ROWS[m, n]
 
     @pytest.mark.parametrize("m, fill", [(6, 1905), (7, 11401)])
     def test_elimination_fill_is_pinned(self, m, fill):
@@ -217,10 +223,9 @@ class TestRelationMatrix:
             return hole_path(c, n)
 
         monkeypatch.setattr(oracle, "hole_path", counting)
-        matrix = build_relation_matrix(5, 1, include_f3=True)
-        expected = sum(
-            len(enumerate_contexts(5 - d + 1, 1)) for rule in RuleId for d in range(rule.arity, 6)
-        )
+        matrix = build_relation_matrix(5, 1)
+        # One walk per context for each of F1 and F2.
+        expected = 2 * sum(len(enumerate_contexts(5 - d + 1, 1)) for d in range(3, 6))
         assert len(walks) == expected < len(matrix.rows)
 
     def test_below_degree_three_rejected(self):
@@ -255,28 +260,23 @@ class TestRelationMatrix:
     # Digests of the sorted pivot columns and of the pivot rows as printed
     # at commit 8b1f618, where every pivot row was scaled by Fraction(1, lead).
     @pytest.mark.parametrize(
-        "m, n, include_f3, rank, columns, pivot_rows",
+        "m, n, rank, columns, pivot_rows",
         [
             (
-                5, 1, False, 101,
+                5, 1, 101,
                 "d2c3949d489913a5943103ea02b409793bec545c57830c1814133ac4e0123284",
                 "8ff16afcc8e5125f2880001b636941f4d8000ab91600c82d15345e197fb742ad",
             ),
             (
-                4, 2, False, 256,
+                4, 2, 256,
                 "42a77d56aa0b8be566556d186793e3ffbe5845a437b1085db6cd8852c8bf3536",
                 "3401ebb2f4f614552c96cccdd6cc491381b2421d59ee9d3ca60bfb4fa9c79eb3",
             ),
-            (
-                4, 1, True, 16,
-                "467fc67e255bdfaf4c7c177e4df57ece90b367e4baa3c742f2dcabdf0c7877a1",
-                "c899fadc8d9f2631036064b3de660aae2fffce1888799e2a1125e55d48de234f",
-            ),
         ],
-        ids=["5-1", "4-2", "4-1-f3"],
+        ids=["5-1", "4-2"],
     )
-    def test_pivots_are_pinned(self, m, n, include_f3, rank, columns, pivot_rows):
-        pivots = build_relation_matrix(m, n, include_f3).pivots
+    def test_pivots_are_pinned(self, m, n, rank, columns, pivot_rows):
+        pivots = build_relation_matrix(m, n).pivots
         leads = sorted(pivots)
         assert len(leads) == rank
         assert digest(map(str, leads)) == columns
@@ -299,22 +299,29 @@ class TestQuotientDimension:
         assert quotient_dim(1, 2) == 2
         assert quotient_dim(2, 2) == 8
 
-    def test_f3_rows_never_change_rank(self):
-        for m, n in ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2)):
-            assert quotient_dim(m, n, include_f3=True) == quotient_dim(m, n, include_f3=False)
+    def test_f3_lies_in_the_f1_f2_ideal(self):
+        # The multilinear F3 reduces to zero against the F1/F2 pivots over
+        # four generators; substitution carries that to every instance.
+        assert not reduce_vector(_f3_vector(), build_relation_matrix(4, 4).pivots)
+
+    def test_f3_with_a_flipped_sign_is_not_derived(self, monkeypatch):
+        # Mutated sides must not reach normal_form: the nf slot would keep
+        # the mutated forms on the cached enumeration words.
+        monkeypatch.setitem(rewrite._SIDES, RuleId.F3, _flipped_right_side(RuleId.F3))
+        assert reduce_vector(_f3_vector(), build_relation_matrix(4, 4).pivots)
+        assert not criterion_3_oracle_quotient()[0]
 
     def test_two_generators(self):
         assert quotient_dim(3, 2) == dim_closed(3, 2)
         assert quotient_dim(4, 2) == dim_closed(4, 2)
 
-    @pytest.mark.parametrize("include_f3", [False, True])
     @pytest.mark.parametrize("m, n", [(m, 2) for m in range(1, 6)] + [(m, 3) for m in range(1, 5)])
-    def test_scaled_quotient_matches_direct_elimination(self, m, n, include_f3):
+    def test_scaled_quotient_matches_direct_elimination(self, m, n):
         # quotient_dim relabels the x1 quotient; the rows over n generators
         # eliminated directly must give the same dimension.
         n_words = len(enumerate_normal_lwords(m, n))
-        direct = n_words - build_relation_matrix(m, n, include_f3).rank if m >= 3 else n_words
-        assert quotient_dim(m, n, include_f3) == direct
+        direct = n_words - build_relation_matrix(m, n).rank if m >= 3 else n_words
+        assert quotient_dim(m, n) == direct
 
     def test_falsified_x1_rank_is_not_masked(self, monkeypatch):
         # One pivot lost over x1 is one per leaf sequence over n generators.
@@ -327,6 +334,18 @@ class TestQuotientDimension:
 
         monkeypatch.setattr(oracle, "row_echelon", dropping_one_pivot)
         assert quotient_dim(5, 2) == dim_closed(5, 2) + 2**5
+
+
+class TestPivotLeads:
+    @pytest.mark.parametrize("m, n", [(7, 1), (4, 2)])
+    def test_pivot_leads_are_the_words_off_the_basis(self, m, n):
+        assert pivot_leads_off_the_basis(build_relation_matrix(m, n))
+
+    def test_flipped_f2_sign_breaks_the_leads_and_the_f3_derivation(self, monkeypatch):
+        # As with F3 above, the mutated side never reaches normal_form.
+        monkeypatch.setitem(rewrite._SIDES, RuleId.F2, _flipped_right_side(RuleId.F2))
+        assert not pivot_leads_off_the_basis(build_relation_matrix(6, 1))
+        assert reduce_vector(_f3_vector(), build_relation_matrix(4, 4).pivots)
 
 
 class TestAgainstRewriting:
