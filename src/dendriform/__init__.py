@@ -3,7 +3,6 @@
 from .terms import (
     PREC,
     SUCC,
-    Context,
     LWord,
     Op,
     ParseError,

@@ -78,26 +78,27 @@ def criterion_3_oracle_quotient():
     """Exact elimination quotient equals Catalan(m) * n^m; pivot leads off the basis; F3 derived.
 
     Degrees 1..7 over one generator and 1..5 over two.  From degree 3 on,
-    each case is also eliminated once directly over its n generators: the
-    rank must agree with quotient_dim, which scales the x1 quotient by n^m
-    (the direct rank is the independent check of that scaling), and the
-    pivot leads must be the normal words off the basis.  F3(x1, x2, x3, x4)
-    must reduce to zero against the F1/F2 pivots at (4, 4) (see ``oracle``).
+    each case is eliminated once directly over its n generators, and the
+    pivot leads must be the normal words off the basis.  Over x1 that
+    elimination is quotient_dim's own, so its word count minus rank is the
+    quotient dimension; over two generators it must agree with
+    quotient_dim, which scales the x1 quotient by n^m (the direct rank is
+    the independent check of that scaling).  F3(x1, x2, x3, x4) must
+    reduce to zero against the F1/F2 pivots at (4, 4) (see ``oracle``).
     """
     ok = True
     counts = {}
     cases = [(m, 1) for m in range(1, 8)] + [(m, 2) for m in range(1, 6)]
     for m, n in cases:
         expected = dim_closed(m, n)
-        got = counts[f"quotient_dim({m},{n})"] = quotient_dim(m, n)
-        ok = ok and got == expected
-        ok = ok and len(enumerate_dd_words(m, n)) == expected
+        direct = len(enumerate_normal_lwords(m, n))
         if m >= 3:
             matrix = build_relation_matrix(m, n)
-            ok = ok and len(enumerate_normal_lwords(m, n)) - matrix.rank == got
+            direct -= matrix.rank
             ok = ok and pivot_leads_off_the_basis(matrix)
-        elif n > 1:
-            ok = ok and len(enumerate_normal_lwords(m, n)) == got
+        got = counts[f"quotient_dim({m},{n})"] = direct if n == 1 else quotient_dim(m, n)
+        ok = ok and got == direct == expected
+        ok = ok and len(enumerate_dd_words(m, n)) == expected
     matrix = build_relation_matrix(4, 4)
     f3 = rule_polynomial(RuleId.F3, [generator(i) for i in range(1, 5)], n=4)
     ok = ok and not reduce_vector({matrix.words.index(w): a for w, a in f3.terms()}, matrix.pivots)

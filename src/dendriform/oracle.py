@@ -40,10 +40,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Coefficient, fold_hole_path, hole_path
-from .poly import apply_context  # noqa: F401  bench/tracing.py rebinds oracle.apply_context
+from .poly import Coefficient, HolePath, apply_context
 from .rewrite import RuleId, rule_polynomial
-from .terms import PREC, SUCC, Context, LWord, generator, hole, node
+from .terms import PREC, SUCC, LWord, generator, l_prec, l_succ, node
 
 
 @lru_cache(maxsize=None)
@@ -90,28 +89,35 @@ def enumerate_dd_words(m: int, n: int) -> tuple[LWord, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_contexts(h: int, n: int) -> tuple[Context, ...]:
-    """Every normal single-hole word with h leaves (the hole counts as a leaf).
+def enumerate_contexts(h: int, n: int) -> tuple[HolePath, ...]:
+    """Every normal single-hole word with h leaves (the hole counts as a leaf),
+    as its hole path, the form ``apply_context`` folds.
 
     The normal words of degree h with one leaf made the hole, C(3h-2, h-1)
     n^(h-1) of them: a ``<`` node never has a ``>``-topped left factor.
     Non-normal contexts add no row, since the congruence is closed under
     substitution: C and its normal form C' (the hole read as a letter)
-    give the same ``normalize(C[u])`` for every word u.  Word factors read
-    their enumeration ascending, as ``binding_tuples`` does.
+    give the same ``normalize(C[u])`` for every word u.  The path of
+    op(C, w) or op(w, C) is C's path plus the outer step (op's product,
+    whether the hole is on the left, w); the bare hole is the empty path,
+    and a context's top operation is its last step's product.  Word
+    factors read their enumeration ascending, as ``binding_tuples`` does.
     """
     if h < 1 or n < 1:
         raise ValueError("context degree and alphabet size must be at least 1")
     if h == 1:
-        return (Context(hole()),)
-    words = []
+        return ((),)
+    paths = []
     for i in range(1, h):
         ctx_lefts, ctx_rights = enumerate_contexts(i, n), enumerate_contexts(h - i, n)
         lefts, rights = enumerate_normal_lwords(i, n)[::-1], enumerate_normal_lwords(h - i, n)[::-1]
-        for op in (PREC, SUCC):
-            words.extend(node(op, c.word, w) for c in ctx_lefts if op is SUCC or c.word.op is not SUCC for w in rights)
-            words.extend(node(op, w, c.word) for w in lefts if op is SUCC or w.op is not SUCC for c in ctx_rights)
-    return tuple(Context(w) for w in words)
+        for prod in (l_prec, l_succ):
+            # A < node takes no >-topped left factor, context or word.
+            outer = [(prod, True, w) for w in rights]
+            paths.extend(c + (s,) for c in ctx_lefts if prod is l_succ or not c or c[-1][0] is l_prec for s in outer)
+            outer = [(prod, False, w) for w in lefts if prod is l_succ or w.op is not SUCC]
+            paths.extend(c + (s,) for s in outer for c in ctx_rights)
+    return tuple(paths)
 
 
 def _compositions(total: int, parts: int):
@@ -172,8 +178,9 @@ def build_relation_matrix(m: int, n: int) -> RelationMatrix:
     """Rows of the degree-m relation module over the normal words.
 
     Bindings run over all normal words with total degree d, contexts over
-    all normal single-hole words with m - d + 1 leaves, for every d >= 3.
-    F3 adds no rows: its instances lie in the ideal of F1 and F2.
+    all normal single-hole words with m - d + 1 leaves, for every d >= 3;
+    each row is one ``apply_context`` of a relation along a context's hole
+    path.  F3 adds no rows: its instances lie in the ideal of F1 and F2.
     """
     if m < 3:
         raise ValueError("there are no relations below degree 3")
@@ -182,11 +189,11 @@ def build_relation_matrix(m: int, n: int) -> RelationMatrix:
     rows = []
     for rule in (RuleId.F1, RuleId.F2):
         for inst_degree in range(rule.arity, m + 1):
-            paths = [hole_path(c, n) for c in enumerate_contexts(m - inst_degree + 1, n)]
+            paths = enumerate_contexts(m - inst_degree + 1, n)
             for bindings in binding_tuples(inst_degree, rule.arity, n):
                 relation = rule_polynomial(rule, bindings, n=n)
                 for path in paths:
-                    embedded = fold_hole_path(path, relation._terms.items())
+                    embedded = apply_context(path, relation)._terms
                     rows.append({column[w]: a for w, a in embedded.items()})
     return RelationMatrix(words, tuple(rows))
 

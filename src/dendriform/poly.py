@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping
 from .terms import (
     PREC,
     SUCC,
-    Context,
     LWord,
     Op,
     count_holes,
@@ -27,7 +26,7 @@ from .terms import (
     l_prec,
     l_succ,
     max_generator_index,
-    normalize,
+    normalize,  # noqa: F401  bench/tracing.py rebinds poly.normalize
     substitute,  # noqa: F401  bench/tracing.py rebinds poly.substitute
 )
 
@@ -222,38 +221,26 @@ def leading(p: Polynomial) -> tuple[LWord, Coefficient]:
     return word, p._terms[word]
 
 
-def apply_context(c: Context, p: Polynomial) -> Polynomial:
-    """Substitute every word of p into the hole of c and re-normalize.
-
-    The context may be any tree: its hole path normalizes the siblings off
-    the path, and fold_hole_path folds each word of p up it.
-    """
-    return Polynomial._raw(p.n, fold_hole_path(hole_path(c, p.n), p._terms.items()))
-
-
 HolePath = tuple[tuple[Callable[[LWord, LWord], LWord], bool, LWord], ...]
 
 
-def hole_path(c: Context, n: int) -> HolePath:
-    """The steps from the hole of c up to its root, for fold_hole_path.
+def apply_context(path: HolePath, p: Polynomial) -> Polynomial:
+    """p with every word put into the hole of path's context, normalized.
 
-    Each step is (basis product, whether the hole side is the left operand,
-    normalized sibling), the form rewrite steps fold too.  A context's path
-    serves every polynomial substituted into it, walked once.
+    A hole path lists a context's steps from the hole up to the root, each
+    (basis product, whether the hole side is the left operand, sibling); the
+    empty path is the bare hole.  Rewrite steps fold the same form.  The
+    siblings must be normal words without holes over p's alphabet
+    (``ValueError``, ``AlphabetMismatchError`` otherwise): fold_hole_path
+    takes each sibling as it is, so a non-normal one would give a wrong fold.
     """
-    w = c.word
-    if max_generator_index(w) > n:
-        raise AlphabetMismatchError(f"context {w} uses generators beyond x{n}")
-    path = []
-    while w.op is not None:
-        product = l_prec if w.op is PREC else l_succ
-        if count_holes(w.left):
-            path.append((product, True, normalize(w.right)))
-            w = w.left
-        else:
-            path.append((product, False, normalize(w.left)))
-            w = w.right
-    return tuple(reversed(path))
+    n = p.n
+    for _, _, sibling in path:
+        if sibling.holes or not sibling.normal:
+            raise ValueError(f"hole-path siblings must be normal words without holes: {sibling}")
+        if sibling.index > n:
+            raise AlphabetMismatchError(f"hole-path sibling {sibling} uses generators beyond x{n}")
+    return Polynomial._raw(n, fold_hole_path(path, p._terms.items()))
 
 
 def fold_hole_path(path: HolePath, pairs: Iterable[tuple[LWord, Coefficient]]) -> dict[LWord, Coefficient]:

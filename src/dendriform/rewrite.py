@@ -129,7 +129,7 @@ def _first_match(u: LWord):
     """The one-path walk to the preorder-first redex of a normal word.
 
     Returns (rule, bindings, steps), or None when u is DD-normal: the steps
-    of the redex's hole path in ``poly.hole_path``'s form, root first.  A
+    of the redex's hole path as in ``poly.HolePath``, but root first.  A
     normal word off the basis carries a redex, so the walk stops at a
     matching subterm and otherwise enters the left child when that is off
     the basis, else the right child.

@@ -5,7 +5,8 @@ form, subject to the entanglement identity (x > y) < z = x > (y < z).  The
 free L-algebra on x1..xn has a basis of *normal* words: binary trees in
 which the left factor of a ``<`` node is never itself ``>``-topped.  This
 module provides the word type, the basis products, the monomial order used
-by the rewrite engine, hole contexts, and plain-text parsing/formatting.
+by the rewrite engine, the hole leaf and the splice into a one-hole word,
+and plain-text parsing/formatting.
 The normal words of degree m over n generators are counted in closed form,
 n^m C(3m-2, m-1)/m, from the functional equation of their generating function.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass
 from enum import IntEnum
 
 
@@ -280,24 +280,14 @@ def max_generator_index(u: LWord) -> int:
     return u.index
 
 
-@dataclass(frozen=True)
-class Context:
-    """A word over the alphabet plus exactly one hole leaf."""
-
-    word: LWord
-
-    def __post_init__(self):
-        if count_holes(self.word) != 1:
-            raise ValueError("a context must contain exactly one hole")
-
-
-def substitute(c: Context, u: LWord) -> LWord:
-    """Splice u into the hole of c.  The result need not be normal."""
-    w = c.word
+def substitute(c: LWord, u: LWord) -> LWord:
+    """Splice u into the hole of the one-hole word c.  The result need not be normal."""
+    if c.holes != 1:
+        raise ValueError("a context must contain exactly one hole")
     path = []
-    while w.op is not None:
-        path.append(w)
-        w = w.left if w.left.holes else w.right
+    while c.op is not None:
+        path.append(c)
+        c = c.left if c.left.holes else c.right
     for above in reversed(path):
         u = node(above.op, u, above.right) if above.left.holes else node(above.op, above.left, u)
     return u

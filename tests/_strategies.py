@@ -14,7 +14,7 @@ from dendriform.gsbcheck import (
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.rewrite import Redex, match_rule_at
-from dendriform.terms import PREC, SUCC, Context, generator, hole, node, normalize, substitute
+from dendriform.terms import PREC, SUCC, generator, hole, l_prec, l_succ, node, normalize, substitute
 
 
 def tree_words(n=2, max_leaves=6, holes=False):
@@ -47,13 +47,39 @@ def all_contexts(h, n):
     normal or not: C(h-1) shapes, 2^(h-1) operation labelings, h hole
     slots and n^(h-1) letters."""
     if h == 1:
-        return [Context(hole())]
+        return [hole()]
     out = []
     for i in range(1, h):
         for op in (PREC, SUCC):
-            out.extend(Context(node(op, c.word, w)) for c in all_contexts(i, n) for w in all_trees(h - i, n))
-            out.extend(Context(node(op, w, c.word)) for w in all_trees(i, n) for c in all_contexts(h - i, n))
+            out.extend(node(op, c, w) for c in all_contexts(i, n) for w in all_trees(h - i, n))
+            out.extend(node(op, w, c) for w in all_trees(i, n) for c in all_contexts(h - i, n))
     return out
+
+
+def hole_path(c):
+    """The hole path of the one-hole word c, by the reference walk down to
+    the hole: steps from the hole up, each (basis product, whether the
+    hole side is the left operand, normalized sibling)."""
+    path = []
+    while c.op is not None:
+        product = l_prec if c.op is PREC else l_succ
+        if c.left.holes:
+            path.append((product, True, normalize(c.right)))
+            c = c.left
+        else:
+            path.append((product, False, normalize(c.left)))
+            c = c.right
+    return tuple(reversed(path))
+
+
+def hole_word(path):
+    """The one-hole word whose hole path is path: each step spliced around
+    the word so far, with no basis product applied."""
+    c = hole()
+    for product, hole_left, sibling in path:
+        op = PREC if product is l_prec else SUCC
+        c = node(op, c, sibling) if hole_left else node(op, sibling, c)
+    return c
 
 
 def normal_words(n=2, max_degree=6):

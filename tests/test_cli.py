@@ -91,6 +91,21 @@ def test_oracle_dim_beyond_the_ceiling_exits_2_with_one_line(capsys, monkeypatch
     assert err == "usage error: oracle-dim needs --degree at most 10\n"
 
 
+@pytest.mark.parametrize("argv", [["count", "--max-degree", "0"], ["oracle-dim", "--generators", "1", "--degree", "0"]])
+def test_argparse_refusals_print_the_synopsis_then_one_error_line(capsys, argv):
+    # The README's refusal contract: argparse's own refusals exit 2 with
+    # empty stdout, the usage synopsis and one error line; the refusals
+    # written in cli print the error line alone.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(f"usage: dendriform {argv[0]} ")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith(f"dendriform {argv[0]}: error: argument ")
+
+
 @pytest.mark.parametrize(
     "command,n,max_degree",
     [

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _strategies import all_contexts
+from _strategies import all_contexts, hole_path, hole_word
 from dendriform import rewrite
 from dendriform.audit import criterion_3_oracle_quotient, pivot_leads_off_the_basis
 from dendriform.oracle import (
@@ -16,10 +16,10 @@ from dendriform.oracle import (
     reduce_vector,
     row_echelon,
 )
-from dendriform.poly import Polynomial, apply_context, hole_path
+from dendriform.poly import Polynomial, apply_context
 from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.series import dim_closed
-from dendriform.terms import Context, count_normal_lwords, generator, is_normal, l_prec, l_succ, normalize
+from dendriform.terms import count_normal_lwords, generator, is_normal, normalize
 
 x1 = generator(1)
 
@@ -113,9 +113,13 @@ class TestDDEnumeration:
 
 class TestContexts:
     def test_single_hole_everywhere(self):
+        # Each path is the reference walk of the hole word it splices into:
+        # the same products, sides and sibling objects.
         for h in (1, 2, 3):
             for c in enumerate_contexts(h, 2):
-                assert c.word.degree == h
+                word = hole_word(c)
+                assert word.degree == h and word.holes == 1
+                assert hole_path(word) == c
 
     def test_counts(self):
         # Normal words of degree h with one of their h leaves made the hole
@@ -127,8 +131,9 @@ class TestContexts:
     @pytest.mark.parametrize("h, n", [(h, n) for n in (1, 2) for h in range(1, 6)])
     def test_only_normal_contexts(self, h, n):
         contexts = enumerate_contexts(h, n)
-        assert all(c.word.normal and c.word.holes == 1 and c.word.degree == h for c in contexts)
-        assert len(set(contexts)) == len(contexts) == math.comb(3 * h - 2, h - 1) * n ** (h - 1)
+        words = [hole_word(c) for c in contexts]
+        assert all(w.normal and w.holes == 1 and w.degree == h for w in words)
+        assert len(set(words)) == len(contexts) == math.comb(3 * h - 2, h - 1) * n ** (h - 1)
 
     def test_every_context_has_its_normal_form_enumerated(self):
         # A context and its normal form (the hole read as a letter) embed
@@ -137,10 +142,10 @@ class TestContexts:
         for h in range(1, 5):
             normal = set(enumerate_contexts(h, 2))
             for c in all_contexts(h, 2):
-                c_normal = Context(normalize(c.word))
+                c_normal = hole_path(normalize(c))
                 assert c_normal in normal
                 for p in words:
-                    assert apply_context(c, p) == apply_context(c_normal, p)
+                    assert apply_context(hole_path(c), p) == apply_context(c_normal, p)
 
     @pytest.mark.parametrize(
         "h, n, count, expected",
@@ -152,7 +157,7 @@ class TestContexts:
     def test_order_is_pinned(self, h, n, count, expected):
         contexts = enumerate_contexts(h, n)
         assert len(contexts) == count
-        assert digest(str(c.word) for c in contexts) == expected
+        assert digest(str(hole_word(c)) for c in contexts) == expected
 
 
 class TestRelationMatrix:
@@ -213,20 +218,19 @@ class TestRelationMatrix:
         pivots = build_relation_matrix(m, 1).pivots
         assert sum(map(len, pivots.values())) == fill
 
-    def test_each_context_is_walked_once_per_instance_degree(self, monkeypatch):
+    def test_apply_context_is_called_once_per_row(self, monkeypatch):
         from dendriform import oracle
 
-        walks = []
+        calls = []
 
-        def counting(c, n):
-            walks.append(c)
-            return hole_path(c, n)
+        def counting(path, p):
+            calls.append(path)
+            return apply_context(path, p)
 
-        monkeypatch.setattr(oracle, "hole_path", counting)
+        monkeypatch.setattr(oracle, "apply_context", counting)
         matrix = build_relation_matrix(5, 1)
-        # One walk per context for each of F1 and F2.
-        expected = 2 * sum(len(enumerate_contexts(5 - d + 1, 1)) for d in range(3, 6))
-        assert len(walks) == expected < len(matrix.rows)
+        # Each row is one relation embedded in one enumerated context.
+        assert len(calls) == len(matrix.rows) == 156
 
     def test_below_degree_three_rejected(self):
         with pytest.raises(ValueError):
@@ -334,6 +338,7 @@ class TestQuotientDimension:
 
         monkeypatch.setattr(oracle, "row_echelon", dropping_one_pivot)
         assert quotient_dim(5, 2) == dim_closed(5, 2) + 2**5
+        assert not criterion_3_oracle_quotient()[0]
 
 
 class TestPivotLeads:
@@ -346,6 +351,7 @@ class TestPivotLeads:
         monkeypatch.setitem(rewrite._SIDES, RuleId.F2, _flipped_right_side(RuleId.F2))
         assert not pivot_leads_off_the_basis(build_relation_matrix(6, 1))
         assert reduce_vector(_f3_vector(), build_relation_matrix(4, 4).pivots)
+        assert not criterion_3_oracle_quotient()[0]
 
 
 class TestAgainstRewriting:

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from _strategies import all_contexts, normal_words, polynomials, spliced
+from _strategies import all_contexts, hole_path, normal_words, polynomials, spliced
 from dendriform.poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
 from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.terms import (
     PREC,
     SUCC,
-    Context,
     generator,
     hole,
     l_prec,
@@ -131,19 +130,36 @@ class TestLeading:
 class TestApplyContext:
     def test_identity(self):
         p = mono(l_prec(x1, x2)) - mono(x3, 2)
-        assert apply_context(Context(hole()), p) == p
+        assert apply_context((), p) == p
+        assert hole_path(hole()) == ()
 
     def test_simple_embedding(self):
-        p = apply_context(Context(node(SUCC, hole(), x3)), mono(l_prec(x1, x2)))
+        p = apply_context(hole_path(node(SUCC, hole(), x3)), mono(l_prec(x1, x2)))
         assert p == mono(l_succ(l_prec(x1, x2), x3))
 
     def test_embedding_renormalizes(self):
-        p = apply_context(Context(node(PREC, hole(), x3)), mono(l_succ(x1, x2)))
+        p = apply_context(hole_path(node(PREC, hole(), x3)), mono(l_succ(x1, x2)))
         assert p == mono(l_succ(x1, l_prec(x2, x3)))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
-            apply_context(Context(node(PREC, hole(), x3)), mono(x1, n=1))
+            apply_context(hole_path(node(PREC, hole(), x3)), mono(x1, n=1))
+        # A sibling below the root is checked too.
+        deep = hole_path(node(SUCC, x1, node(PREC, hole(), l_succ(x1, x3))))
+        with pytest.raises(AlphabetMismatchError):
+            apply_context(deep, mono(x1, n=2))
+        assert apply_context(deep, mono(x1, n=3)) == mono(l_succ(x1, l_prec(x1, l_succ(x1, x3))))
+
+    def test_non_normal_sibling_is_refused(self):
+        # The fold takes siblings as they are: a non-normal one would give a
+        # word off the basis, and one with a hole a word with two holes.
+        entangled = node(PREC, node(SUCC, x1, x2), x3)
+        for sibling in (entangled, node(SUCC, x1, hole())):
+            for hole_left in (True, False):
+                with pytest.raises(ValueError) as err:
+                    apply_context(((l_prec, hole_left, sibling),), mono(x2))
+                assert not isinstance(err.value, AlphabetMismatchError)
+        assert apply_context(((l_prec, True, normalize(entangled)),), mono(x2)) == mono(l_prec(x2, normalize(entangled)))
 
     def test_fold_equals_splice_and_normalize(self):
         # Every arbitrary context with four leaves over two generators, on
@@ -158,8 +174,9 @@ class TestApplyContext:
         contexts = all_contexts(4, 2)
         assert len(contexts) == 1280
         for c in contexts:
+            path = hole_path(c)
             for p in relations:
-                assert apply_context(c, p) == spliced(c, p)
+                assert apply_context(path, p) == spliced(c, p)
 
     @given(polynomials(n=2, max_degree=4))
     def test_leading_commutes_with_contexts(self, p):
@@ -167,8 +184,8 @@ class TestApplyContext:
             return
         lead_word, _ = leading(p)
         # Only meaningful when the leading word strictly dominates.
-        c = Context(node(PREC, hole(), x2))
-        embedded = apply_context(c, p)
+        c = node(PREC, hole(), x2)
+        embedded = apply_context(hole_path(c), p)
         assert leading(embedded)[0] is normalize(substitute(c, lead_word))
 
 
@@ -216,7 +233,7 @@ class TestCoefficientDomain:
 
     def test_integer_arithmetic_stays_int(self):
         p = mono(l_prec(x1, x2), 2) - mono(x1, 3)
-        q = mul(p, PREC, -p) + apply_context(Context(node(SUCC, hole(), x3)), p)
+        q = mul(p, PREC, -p) + apply_context(hole_path(node(SUCC, hole(), x3)), p)
         assert all(type(c) is int for _, c in q.terms())
 
     def test_float_coefficients_are_rejected(self):

@@ -10,10 +10,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from _strategies import all_contexts, polynomials, reference_is_dd, reference_redexes, sample_dd_word, spliced
+from _strategies import (
+    all_contexts,
+    hole_path,
+    polynomials,
+    reference_is_dd,
+    reference_redexes,
+    sample_dd_word,
+    spliced,
+)
 from dendriform import rewrite, terms
 from dendriform.oracle import binding_tuples, enumerate_dd_words, enumerate_normal_lwords
-from dendriform.poly import AlphabetMismatchError, Polynomial, hole_path, mul
+from dendriform.poly import AlphabetMismatchError, Polynomial, mul
 from dendriform.rewrite import (
     Redex,
     RewriteOrderError,
@@ -28,7 +36,6 @@ from dendriform.rewrite import (
 from dendriform.terms import (
     PREC,
     SUCC,
-    Context,
     compare,
     count_holes,
     generator,
@@ -115,7 +122,7 @@ class TestDDNormal:
     def test_flag_on_arbitrary_trees(self):
         # Normal or not, a flagged tree is normal and redex free, and the
         # pruned search still finds every redex.
-        trees = [c.word for c in all_contexts(4, 2)]
+        trees = all_contexts(4, 2)
         assert any(not is_normal(w) for w in trees)
         for w in trees:
             assert w.dd == reference_is_dd(w)
@@ -252,7 +259,7 @@ class TestFindRedexes:
                 if w.dd:
                     continue
                 steps = rewrite._first_match(w)[2]
-                expected = hole_path(Context(hole_at(w, find_redexes(w)[0].path)), n)
+                expected = hole_path(hole_at(w, find_redexes(w)[0].path))
                 assert len(steps) == len(expected)
                 for (product, hole_left, sibling), (e_product, e_hole_left, e_sibling) in zip(steps[::-1], expected):
                     assert product is e_product and hole_left is e_hole_left and sibling is e_sibling
@@ -322,7 +329,7 @@ class TestRewriteStep:
                 for w in enumerate_normal_lwords(m, n):
                     for r in find_redexes(w):
                         relation = rule_polynomial(r.rule, r.bindings, n=n)
-                        reference = spliced(Context(hole_at(w, r.path)), relation)
+                        reference = spliced(hole_at(w, r.path), relation)
                         assert rewrite_step(w, r, n=n) == Polynomial.monomial(w, n=n) - reference
                         steps += 1
         assert steps == 5590

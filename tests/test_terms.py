@@ -10,7 +10,6 @@ from dendriform.oracle import enumerate_normal_lwords
 from dendriform.terms import (
     PREC,
     SUCC,
-    Context,
     ParseError,
     compare,
     count_holes,
@@ -127,7 +126,7 @@ class TestDegreeAndNormality:
 
     def test_walks_match_the_definitions(self):
         # The contexts cover normal and non-normal trees, flagged or not.
-        trees = [c.word for c in all_contexts(4, 3)] + list(enumerate_normal_lwords(4, 2))
+        trees = all_contexts(4, 3) + list(enumerate_normal_lwords(4, 2))
         assert any(not is_normal(w) for w in trees) and any(not w.dd and is_normal(w) for w in trees)
         for w in trees:
             assert is_normal(w) == reference_is_normal(w)
@@ -230,22 +229,22 @@ class TestOrder:
 
 class TestContexts:
     def test_identity_context(self):
-        assert substitute(Context(hole()), x1) is x1
+        assert substitute(hole(), x1) is x1
 
     def test_splice(self):
-        c = Context(node(PREC, hole(), x2))
+        c = node(PREC, hole(), x2)
         assert substitute(c, node(SUCC, x1, x3)) is node(PREC, node(SUCC, x1, x3), x2)
 
     def test_splice_deep(self):
-        c = Context(node(SUCC, node(SUCC, x1, hole()), x2))
+        c = node(SUCC, node(SUCC, x1, hole()), x2)
         w = node(PREC, x3, x4)
         assert substitute(c, w) is node(SUCC, node(SUCC, x1, w), x2)
 
     def test_exactly_one_hole_required(self):
-        with pytest.raises(ValueError):
-            Context(x1)
-        with pytest.raises(ValueError):
-            Context(node(PREC, hole(), hole()))
+        with pytest.raises(ValueError, match="exactly one hole"):
+            substitute(x1, x2)
+        with pytest.raises(ValueError, match="exactly one hole"):
+            substitute(node(PREC, hole(), hole()), x2)
         assert count_holes(node(PREC, hole(), x1)) == 1
 
 
