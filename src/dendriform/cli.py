@@ -153,12 +153,12 @@ def _cmd_count(args) -> int:
 
 
 # hilbert's default --method all is as slow as its recursive column, whose
-# convolution of ever longer integers grows about as the 3.5th power of
-# --max-degree.  Measured over x1 (2 vCPU, CPython 3.11.7), the recursive
-# column took 0.7, 4.4, 18.9 and 66 s through degree 1000, 2000, 3000 and
-# 4000, the closed one 0.2, 0.6, 1.7 and 4.5 s, the gf one at most 0.6 s.
-# Through 3000 --method all took 20.5 s over x1 and 24.2 s over x1..x6, the
-# largest alphabet whose values at 3000 pass the int-to-text limit.
+# convolution of ever longer integers grows about as the 3.5th to 4th power
+# of --max-degree.  Measured over x1 (2 vCPU, CPython 3.11.7), the recursive
+# column took 0.15, 1.6, 8.3 and 26 s through degree 1000, 2000, 3000 and
+# 4000, the closed one 0.08, 0.4, 1.2 and 3.0 s, the gf one at most 0.1 s.
+# Through 3000 --method all took 9.2-9.7 s over x1 and 10.3 s over x1..x6,
+# the largest alphabet whose values at 3000 pass the int-to-text limit.
 _HILBERT_MAX_DEGREE = 3000
 
 

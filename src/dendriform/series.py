@@ -36,12 +36,22 @@ _shape_counts = [1]  # convolution recursion values, index by degree
 
 
 def f_recursive(m: int) -> int:
-    """Tree-shape count by the convolution a(m) = sum a(i) a(m-1-i), a(0) = 1."""
+    """Tree-shape count by the convolution a(k+1) = sum_{i<=k} a(i) a(k-i), a(0) = 1.
+
+    The sum is symmetric in i and k-i, so it is taken as
+    2 sum_{i<ceil(k/2)} a(i) a(k-i), plus a(k/2)^2 when k is even: each
+    symmetric pair is multiplied once.
+    """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    while len(_shape_counts) <= m:
-        _shape_counts.append(sum(map(operator.mul, _shape_counts, reversed(_shape_counts))))
-    return _shape_counts[m]
+    a = _shape_counts
+    while len(a) <= m:
+        k = len(a) - 1
+        total = 2 * sum(map(operator.mul, a[: (k + 1) // 2], reversed(a)))
+        if k % 2 == 0:
+            total += a[k // 2] ** 2
+        a.append(total)
+    return a[m]
 
 
 def dim_closed(m: int, n: int) -> int:

@@ -41,6 +41,25 @@ class TestShapeRecursion:
         with pytest.raises(ValueError):
             f_recursive(-1)
 
+    def test_matches_the_full_convolution(self):
+        # Every product a(i) a(k-i) taken, both of each symmetric pair, over
+        # odd and even k.
+        a = [1]
+        for k in range(400):
+            a.append(sum(a[i] * a[k - i] for i in range(k + 1)))
+        assert [f_recursive(m) for m in range(401)] == a
+
+    def test_reads_neither_comb_nor_the_gf(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the recursion must stay independent of the other columns")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_shape_counts", [1])
+            patch.setattr(math, "comb", refuse)
+            patch.setattr(series, "_sqrt_one_minus_4nt", refuse)
+            values = [f_recursive(m) for m in range(301)]
+        assert values == [math.comb(2 * m, m) // (m + 1) for m in range(301)]
+
 
 class TestClosedForm:
     def test_seeds(self):
