@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .oracle import binding_tuples, enumerate_normal_lwords
-from .poly import Polynomial, leading, mul
+from .poly import Polynomial, admit, leading, mul
 from .rewrite import (
     Redex,
     RuleId,
@@ -41,7 +41,8 @@ from .rewrite import (
     rewrite_step,
     rule_polynomial,
 )
-from .terms import PREC, SUCC, LWord, compare, generator, max_generator_index, node
+from .terms import PREC, SUCC, LWord, compare, generator, node
+from .terms import max_generator_index  # noqa: F401  bench/tracing.py rebinds gsbcheck.max_generator_index
 
 RIGHT_MULT_RULES = (RuleId.F2, RuleId.F3)
 
@@ -117,8 +118,7 @@ def check_right_mult(rule: RuleId, bindings, v: LWord, *, n: int | None = None) 
     if rule not in RIGHT_MULT_RULES:
         raise ValueError(f"{rule.name} has no right-multiplication composition")
     bindings = tuple(bindings)
-    if n is None:
-        n = max(1, max_generator_index(v), *(max_generator_index(b) for b in bindings))
+    n = admit((*bindings, v), n, "a binding or right factor")
     relation = rule_polynomial(rule, bindings, n=n)
     composition = mul(relation, PREC, Polynomial.monomial(v, n=n))
     return _judge("right_mult", (rule,), leading(composition)[0], composition)

@@ -2,11 +2,12 @@
 
 Polynomials are the elements of the free L-algebra on x1..xn: finite maps
 from normal words to nonzero exact coefficients, each an ``int`` when it is
-integral and a ``Fraction`` otherwise.  Rewriting never divides, so
-integral input stays on Python integers throughout.  All coefficient
-arithmetic is exact; zero tests are therefore decisions, not
-approximations.  Values are immutable and all operations are pure, so
-concurrent use is safe.
+integral and a ``Fraction`` otherwise.  Every public entry that puts words
+into the algebra, here and in rewrite and gsbcheck, checks them with
+``admit``.  Rewriting never divides, so integral input stays on Python
+integers throughout.  All coefficient arithmetic is exact; zero tests are
+therefore decisions, not approximations.  Values are immutable and all
+operations are pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -36,6 +37,28 @@ class AlphabetMismatchError(ValueError):
 
 
 Coefficient = int | Fraction
+
+
+def admit(words: Iterable[LWord], n: int | None, what: str) -> int:
+    """Check words entering the algebra; return their alphabet size.
+
+    Each word must be normal and hold no hole (``ValueError`` naming what).
+    A given n must be at least 1 and cover the words' generators
+    (``AlphabetMismatchError``); without one, the alphabet is the largest
+    generator index, at least 1.
+    """
+    if n is not None and n < 1:
+        raise ValueError("alphabet size must be at least 1")
+    top = 1 if n is None else n
+    for w in words:
+        if count_holes(w) or not is_normal(w):
+            raise ValueError(f"{what} must be a normal word without holes: {w}")
+        index = max_generator_index(w)
+        if index > top:
+            if n is not None:
+                raise AlphabetMismatchError(f"{what} {w} uses generators beyond x{n}")
+            top = index
+    return top
 
 
 def _exact(c) -> Coefficient:
@@ -74,19 +97,11 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[LWord, Coefficient] | Iterable[tuple[LWord, Coefficient]] = ()):
-        if n < 1:
-            raise ValueError("alphabet size must be at least 1")
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
+        self.n = admit((word for word, _ in pairs), n, "a polynomial's word")
         acc: dict[LWord, Coefficient] = {}
         for word, coeff in pairs:
-            if count_holes(word):
-                raise ValueError(f"polynomial words may not contain holes: {word}")
-            if not is_normal(word):
-                raise ValueError(f"polynomial words must be normal: {word}")
-            if max_generator_index(word) > n:
-                raise AlphabetMismatchError(f"word {word} uses generators beyond x{n}")
             _accumulate(acc, word, _exact(coeff))
-        self.n = n
         self._terms = acc
 
     @classmethod
@@ -102,15 +117,11 @@ class Polynomial:
     @cache
     def zero(cls, n: int) -> "Polynomial":
         """The zero polynomial over x1..xn: one instance per n, shared since values are immutable."""
-        if n < 1:
-            raise ValueError("alphabet size must be at least 1")
-        return cls._raw(n, {})
+        return cls._raw(admit((), n, "no word"), {})
 
     @classmethod
     def monomial(cls, word: LWord, coeff=1, *, n: int | None = None) -> "Polynomial":
-        if n is None:
-            n = max(1, max_generator_index(word))
-        return cls(n, [(word, coeff)])
+        return cls(admit((word,), n, "a polynomial's word"), [(word, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -231,16 +242,11 @@ def apply_context(path: HolePath, p: Polynomial) -> Polynomial:
     (basis product, whether the hole side is the left operand, sibling); the
     empty path is the bare hole.  Rewrite steps fold the same form.  The
     siblings must be normal words without holes over p's alphabet
-    (``ValueError``, ``AlphabetMismatchError`` otherwise): fold_hole_path
-    takes each sibling as it is, so a non-normal one would give a wrong fold.
+    (``admit``): fold_hole_path takes each sibling as it is, so a non-normal
+    one would give a wrong fold.
     """
-    n = p.n
-    for _, _, sibling in path:
-        if sibling.holes or not sibling.normal:
-            raise ValueError(f"hole-path siblings must be normal words without holes: {sibling}")
-        if sibling.index > n:
-            raise AlphabetMismatchError(f"hole-path sibling {sibling} uses generators beyond x{n}")
-    return Polynomial._raw(n, fold_hole_path(path, p._terms.items()))
+    admit((sibling for _, _, sibling in path), p.n, "a hole-path sibling")
+    return Polynomial._raw(p.n, fold_hole_path(path, p._terms.items()))
 
 
 def fold_hole_path(path: HolePath, pairs: Iterable[tuple[LWord, Coefficient]]) -> dict[LWord, Coefficient]:

@@ -17,10 +17,11 @@ keeps its normal form in its ``nf`` slot, so under the weak intern table a
 normal form dies with its word.  The intermediate words of a reduction
 live only until its ``normal_form`` call returns.  A rewrite step is the
 rule's right side folded up its redex's hole path by ``poly.fold_hole_path``,
-the splice the relation rows use too.  Every rewrite step replaces one
-word by a combination of strictly smaller words (checked at each step), so
-reduction terminates; confluence is verified exhaustively at bounded degree
-by the companion basis-check module.
+the splice the relation rows use too.  Rule bindings and rewritten words
+enter the algebra through ``poly.admit``, as normal words without holes.
+Every rewrite step replaces one word by a combination of strictly smaller
+words (checked at each step), so reduction terminates; confluence is
+verified exhaustively at bounded degree by the companion basis-check module.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .poly import AlphabetMismatchError, Coefficient, Polynomial, _accumulate, fold_hole_path
+from .poly import Coefficient, Polynomial, _accumulate, admit, fold_hole_path
 from .terms import (
     PREC,
     SUCC,
     LWord,
     compare,
-    is_normal,
+    is_normal,  # noqa: F401  bench/tracing.py rebinds rewrite.is_normal
     l_prec,
     l_succ,
-    max_generator_index,
+    max_generator_index,  # noqa: F401  bench/tracing.py rebinds rewrite.max_generator_index
     normalize,  # noqa: F401  bench/tracing.py rebinds rewrite.normalize
 )
 
@@ -153,23 +154,17 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
     """The rule relation at concrete bindings: left side minus right side.
 
     Instances rewrite to zero; they generate the ideal presenting the free
-    dendriform algebra.  The alphabet size defaults to the largest index
-    appearing in the bindings; a smaller one raises AlphabetMismatchError.
+    dendriform algebra.  The bindings enter the algebra through
+    ``poly.admit``, which checks them and gives the alphabet size.
     """
     bindings = tuple(bindings)
     if len(bindings) != rule.arity:
         raise ValueError(f"{rule.name} takes {rule.arity} bindings, got {len(bindings)}")
-    for b in bindings:
-        if not is_normal(b):
-            raise ValueError(f"rule bindings must be normal words: {b}")
-        if n is not None and max_generator_index(b) > n:
-            raise AlphabetMismatchError(f"binding {b} uses generators beyond x{n}")
+    n = admit(bindings, n, "a rule binding")
     left_side, right_side = _SIDES[rule]
     terms = {left_side(*bindings): 1}
     for w, c in right_side(*bindings):
         _accumulate(terms, w, -c)
-    if n is None:
-        n = max(1, max(max_generator_index(b) for b in bindings))
     return Polynomial._raw(n, terms)
 
 
@@ -192,12 +187,13 @@ def _step(u: LWord, rule: RuleId, bindings, steps) -> dict[LWord, int]:
 def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     """Rewrite one occurrence: u minus the context-embedded rule instance.
 
-    u must be a normal word, as every word of a polynomial is.  The redex
-    must match u at its path (``StaleRedexError`` otherwise).  Every word
-    of the result is strictly smaller than u, which is checked per produced
-    term (``RewriteOrderError`` otherwise).  The alphabet size defaults to
-    the largest index in u; a smaller one raises AlphabetMismatchError.
+    u enters the algebra through ``poly.admit``, which checks it and gives
+    the alphabet size.  The redex must match u at its path
+    (``StaleRedexError`` otherwise).  Every word of the result is strictly
+    smaller than u, which is checked per produced term
+    (``RewriteOrderError`` otherwise).
     """
+    n = admit((u,), n, "the rewritten word")
     steps = []
     target = u
     for side in redex.path:
@@ -209,10 +205,6 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:
         raise StaleRedexError(f"no {redex.rule.name} redex with those bindings at path {redex.path!r}")
-    if n is None:
-        n = max(1, max_generator_index(u))
-    elif max_generator_index(u) > n:
-        raise AlphabetMismatchError(f"word {u} uses generators beyond x{n}")
     return Polynomial._raw(n, _step(u, redex.rule, redex.bindings, steps))
 
 

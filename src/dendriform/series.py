@@ -217,8 +217,10 @@ def gk_statistic(d: int, n: int) -> GKStatistic:
     taken from a certified enclosure (see _ln_dim_enclosure) instead of the
     integer itself, and divided by ln d in a 40-digit half-even context.
     Both run in decimal contexts of their own, so the result does not
-    depend on the caller's context, and comparisons against fixed bounds
-    are reliable.
+    depend on the caller's context.  Only ln dim is certified; the quotient
+    is rounded again, so it is within 1/2 + (m_q/2)(1/m_L + 1/m_l) < 10.5
+    units in its 40th digit of the exact q (m_x: x's significand in [1, 10)),
+    not correctly rounded: (2, 2) gives 3.000...0001 for 3.
     """
     if d < 2:
         raise ValueError("the growth statistic needs degree at least 2")

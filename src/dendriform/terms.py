@@ -129,9 +129,20 @@ class LWord:
         return self
 
     def __reduce__(self):
-        if self.op is None:
-            return (_leaf, (self.index,))
-        return (node, (self.op, self.left, self.right))
+        # The word's postorder as flat codes, a leaf its index and a node
+        # ~op, so pickling a word of any depth recurses on none of it.  A
+        # stack that takes the right child first walks the reversed postorder.
+        codes = []
+        stack = [self]
+        while stack:
+            w = stack.pop()
+            if w.op is None:
+                codes.append(w.index)
+            else:
+                codes.append(~w.op)
+                stack += (w.left, w.right)
+        codes.reverse()
+        return (_from_postorder, (codes,))
 
 
 class _Interned(weakref.ref):
@@ -159,6 +170,18 @@ def _leaf(index: int) -> LWord:
         w = LWord(None, None, None, index, 1, True, True, int(index == _HOLE_INDEX))
         _LEAF_CACHE[index] = w
     return w
+
+
+def _from_postorder(codes) -> LWord:
+    """The word whose postorder codes ``LWord.__reduce__`` gave, rebuilt in one loop."""
+    done = []
+    for code in codes:
+        if code >= 0:
+            done.append(_leaf(code))
+        else:
+            right = done.pop()
+            done[-1] = node(Op(~code), done[-1], right)
+    return done[0]
 
 
 def generator(index: int) -> LWord:

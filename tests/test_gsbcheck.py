@@ -15,7 +15,7 @@ from dendriform.gsbcheck import (
 )
 from dendriform.poly import AlphabetMismatchError, Polynomial
 from dendriform.rewrite import RuleId, find_redexes, normal_form, rewrite_step
-from dendriform.terms import compare, generator, l_prec, l_succ, parse_lword
+from dendriform.terms import compare, generator, hole, l_prec, l_succ, parse_lword
 
 x1, x2, x3, x4, x5 = (generator(i) for i in range(1, 6))
 
@@ -49,6 +49,11 @@ class TestRightMult:
             check_right_mult(RuleId.F2, (x1, x2, x3), x1, n=2)
         with pytest.raises(AlphabetMismatchError):
             check_right_mult(RuleId.F2, (x1, x1, x1), x3, n=2)
+
+    def test_hole_binding_is_refused(self):
+        with pytest.raises(ValueError, match="normal") as err:
+            check_right_mult(RuleId.F2, (hole(), x1, x2), x1)
+        assert not isinstance(err.value, AlphabetMismatchError)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_sweep_refuses_a_non_positive_alphabet(self, n):

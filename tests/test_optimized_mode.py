@@ -35,6 +35,19 @@ def expect(exc_type, func, *args):
 """
 
 FORCED_FAILURES = {
+    "admission": (
+        """
+from dendriform.gsbcheck import check_right_mult
+from dendriform.rewrite import RuleId, find_redexes, rewrite_step, rule_polynomial
+from dendriform.terms import PREC, generator, hole, node, parse_lword
+x1, x2, x3 = generator(1), generator(2), generator(3)
+expect(ValueError, rule_polynomial, RuleId.F1, (hole(), x1, x2))
+expect(ValueError, check_right_mult, RuleId.F2, (hole(), x1, x2), x1)
+for w in (parse_lword("(((x1 < x2) < x3) > ((x1 > x2) < x3))"), node(PREC, node(PREC, x1, x2), hole())):
+    expect(ValueError, rewrite_step, w, find_redexes(w)[0])
+""",
+        ["ValueError"] * 4,
+    ),
     "rewrite_descent": (
         """
 from dendriform import rewrite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from _strategies import all_contexts, hole_path, normal_words, polynomials, spliced
-from dendriform.poly import AlphabetMismatchError, Polynomial, apply_context, leading, mul
+from dendriform.poly import AlphabetMismatchError, Polynomial, admit, apply_context, leading, mul
 from dendriform.rewrite import RuleId, normal_form, rule_polynomial
 from dendriform.terms import (
     PREC,
@@ -52,6 +52,31 @@ class TestVectorSpace:
     def test_words_must_be_normal(self):
         with pytest.raises(ValueError):
             Polynomial(2, [(node(PREC, node(SUCC, x1, x2), x1), 1)])
+
+
+class TestAdmit:
+    def test_default_alphabet_is_the_largest_index(self):
+        assert admit((), None, "w") == 1
+        assert admit((x1, l_succ(x1, x3), x2), None, "w") == 3
+        assert admit((x1,), 5, "w") == 5
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_alphabet_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match="alphabet size must be at least 1"):
+            admit((x1,), n, "w")
+
+    def test_words_beyond_the_alphabet_are_refused(self):
+        with pytest.raises(AlphabetMismatchError, match="the word x3 uses generators beyond x2"):
+            admit((x1, x3), 2, "the word")
+
+    @pytest.mark.parametrize(
+        "word", [hole(), node(SUCC, x1, hole()), node(PREC, node(SUCC, x1, x2), x1)], ids=["hole", "holed", "entangled"]
+    )
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_holes_and_non_normal_words_are_refused(self, word, n):
+        with pytest.raises(ValueError, match=r"^the word must be a normal word without holes: ") as err:
+            admit((x1, word), n, "the word")
+        assert not isinstance(err.value, AlphabetMismatchError)
 
 
 class TestZero:

@@ -131,13 +131,19 @@ class TestDDNormal:
             assert find_redexes(w) == reference_redexes(w)
 
     def test_pickle_keeps_the_flag(self):
-        words = [l_prec(x1, l_succ(x2, x3)), l_prec(l_prec(x1, x2), x3), l_succ(l_succ(x1, x2), x3)]
-        flags = [w.dd for w in words]
-        assert flags == [True, False, True]
-        for w in words:
+        # Pickling recurses on no word's depth: a depth-10,000 > chain and
+        # < comb round-trip like short words.
+        chain, comb = x1, x1
+        for _ in range(10_000):
+            chain, comb = node(SUCC, x1, chain), node(PREC, comb, x2)
+        words = [l_prec(x1, l_succ(x2, x3)), l_prec(l_prec(x1, x2), x3), l_succ(l_succ(x1, x2), x3), chain, comb]
+        flags = [(w.dd, w.normal) for w in words]
+        assert flags == [(True, True), (False, True), (True, True), (True, True), (False, True)]
+        holed = [hole(), node(SUCC, node(PREC, hole(), x1), x2), node(PREC, node(SUCC, x1, hole()), hole())]
+        for w in words + holed:
             assert pickle.loads(pickle.dumps(w)) is w
-        # A fresh interpreter rebuilds every word, and so its flag, from the bytes.
-        code = "import pickle, sys; print([w.dd for w in pickle.load(sys.stdin.buffer)])"
+        # A fresh interpreter rebuilds every word, and so its flags, from the bytes.
+        code = "import pickle, sys; print([(w.dd, w.normal) for w in pickle.load(sys.stdin.buffer)])"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
@@ -207,6 +213,13 @@ class TestRulePolynomials:
         with pytest.raises(AlphabetMismatchError):
             rule_polynomial(RuleId.F1, (x1, x2, x3), n=2)
         assert rule_polynomial(RuleId.F1, (x1, x2, x3), n=3) == rule_polynomial(RuleId.F1, (x1, x2, x3))
+
+    def test_hole_binding_is_refused(self):
+        # An instance with a hole binding holds only hole words, which no
+        # polynomial may hold.
+        with pytest.raises(ValueError, match="normal") as err:
+            rule_polynomial(RuleId.F1, (hole(), x1, x2))
+        assert not isinstance(err.value, AlphabetMismatchError)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -307,6 +320,17 @@ class TestRewriteStep:
             with pytest.raises(AlphabetMismatchError):
                 rewrite_step(w, r, n=n)
         assert rewrite_step(w, r, n=3) == rewrite_step(w, r)
+
+    def test_word_off_the_algebra_is_refused(self):
+        # The redexes are real, but a step of a non-normal word gives
+        # non-normal words, and one of a word with a hole gives hole words.
+        off = node(SUCC, node(PREC, node(PREC, x1, x2), x3), node(PREC, node(SUCC, x1, x2), x3))
+        holed = node(PREC, node(PREC, x1, x2), hole())
+        assert not is_normal(off) and count_holes(holed) == 1
+        for w in (off, holed):
+            with pytest.raises(ValueError, match="normal") as err:
+                rewrite_step(w, find_redexes(w)[0])
+            assert not isinstance(err.value, (AlphabetMismatchError, StaleRedexError))
 
     def test_strict_descent_everywhere(self):
         for n in (1, 2):

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import ROUND_FLOOR, Decimal, Inexact, localcontext
 from fractions import Fraction
 
@@ -210,6 +211,36 @@ class TestGrowthEnclosure:
         assert [str(gk_statistic(d, 3).value) for d in degrees] == expected
         assert len(precisions) > len(degrees)  # 40 digits never decide; a retry ran
         assert min(precisions) == 40
+
+    def test_quotient_within_its_rounding_bound(self):
+        # ln dim is certified, but the quotient carries three roundings, of
+        # ln dim, of ln d and of the division, each at most half a unit in
+        # the 40th digit of its own value.  So gk is within
+        # 1/2 + (m_q / 2)(1/m_L + 1/m_l) units in the 40th digit of the exact
+        # quotient q, m_q, m_L and m_l being the significands in [1, 10) of
+        # q, ln dim and ln d: under 10.5 units, since m_q = (m_L / m_l) 10^k
+        # with k = 1 only when m_L < m_l.  mpmath at 90 digits is the reference.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        pairs = [(2, 2)] + [(round(10 ** rng.uniform(0.31, 9)), rng.randint(1, 7)) for _ in range(200)]
+        errors = []
+        with localcontext() as ctx, mpmath.workdps(90):
+            ctx.prec = 100
+            for d, n in pairs:
+                ln_d = mpmath.log(d)
+                ln_dim = mpmath.loggamma(2 * d + 1) - 2 * mpmath.loggamma(d + 1) - mpmath.log(d + 1) + d * mpmath.log(n)
+                q, exact_dim, exact_d = (Decimal(mpmath.nstr(x, 85)) for x in (ln_dim / ln_d, ln_dim, ln_d))
+                m_q, m_dim, m_d = (x.scaleb(-x.adjusted()) for x in (q, exact_dim, exact_d))
+                value = gk_statistic(d, n).value
+                error = abs(value - q).scaleb(39 - q.adjusted())
+                # The division rounds at the result's own last digit.
+                bound = Decimal(10) ** (value.adjusted() - q.adjusted()) / 2 + m_q / 2 * (1 / m_dim + 1 / m_d)
+                assert error <= bound * (1 + Decimal(10) ** -30), (d, n, error, bound)
+                assert bound < Decimal("10.5")
+                errors.append(error)
+        # Not correctly rounded: at (2, 2) the exact value is 3.
+        assert str(gk_statistic(2, 2).value) == "3.000000000000000000000000000000000000001"
+        assert errors[0] == 1 and max(errors) > 1
 
     def test_independent_of_the_ambient_context(self):
         expected = [str(gk_statistic(d, 2).value) for d in range(2, 300)]
