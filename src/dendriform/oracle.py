@@ -42,7 +42,7 @@ from itertools import product
 
 from .poly import Coefficient, HolePath, apply_context
 from .rewrite import RuleId, rule_polynomial
-from .terms import PREC, SUCC, LWord, generator, l_prec, l_succ, node
+from .terms import PREC, SUCC, LWord, generator, node
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +98,10 @@ def enumerate_contexts(h: int, n: int) -> tuple[HolePath, ...]:
     Non-normal contexts add no row, since the congruence is closed under
     substitution: C and its normal form C' (the hole read as a letter)
     give the same ``normalize(C[u])`` for every word u.  The path of
-    op(C, w) or op(w, C) is C's path plus the outer step (op's product,
-    whether the hole is on the left, w); the bare hole is the empty path,
-    and a context's top operation is its last step's product.  Word
-    factors read their enumeration ascending, as ``binding_tuples`` does.
+    op(C, w) or op(w, C) is the step (op, hole side, w) in front of C's
+    path; the bare hole is the empty path, and the top operation is the
+    first step's.  Word factors read their enumeration ascending, as
+    ``binding_tuples`` does.
     """
     if h < 1 or n < 1:
         raise ValueError("context degree and alphabet size must be at least 1")
@@ -111,12 +111,12 @@ def enumerate_contexts(h: int, n: int) -> tuple[HolePath, ...]:
     for i in range(1, h):
         ctx_lefts, ctx_rights = enumerate_contexts(i, n), enumerate_contexts(h - i, n)
         lefts, rights = enumerate_normal_lwords(i, n)[::-1], enumerate_normal_lwords(h - i, n)[::-1]
-        for prod in (l_prec, l_succ):
+        for op in (PREC, SUCC):
             # A < node takes no >-topped left factor, context or word.
-            outer = [(prod, True, w) for w in rights]
-            paths.extend(c + (s,) for c in ctx_lefts if prod is l_succ or not c or c[-1][0] is l_prec for s in outer)
-            outer = [(prod, False, w) for w in lefts if prod is l_succ or w.op is not SUCC]
-            paths.extend(c + (s,) for s in outer for c in ctx_rights)
+            outer = [(op, True, w) for w in rights]
+            paths.extend((s,) + c for c in ctx_lefts if op is SUCC or not c or c[0][0] is PREC for s in outer)
+            outer = [(op, False, w) for w in lefts if op is SUCC or w.op is not SUCC]
+            paths.extend((s,) + c for s in outer for c in ctx_rights)
     return tuple(paths)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .terms import (
     PREC,
@@ -121,7 +121,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, word: LWord, coeff=1, *, n: int | None = None) -> "Polynomial":
-        return cls(admit((word,), n, "a polynomial's word"), [(word, coeff)])
+        return cls(n, [(word, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -208,14 +208,13 @@ def _require_same_alphabet(p: Polynomial, q: Polynomial) -> None:
         raise AlphabetMismatchError(f"alphabet sizes differ: {p.n} vs {q.n}")
 
 
+def _refuse(op):
+    raise ValueError(f"operation must be PREC or SUCC, got {op!r}")
+
+
 def mul(p: Polynomial, op: Op, q: Polynomial) -> Polynomial:
     """Bilinear extension of the basis products to polynomials."""
-    if op is PREC:
-        prod = l_prec
-    elif op is SUCC:
-        prod = l_succ
-    else:
-        raise ValueError(f"operation must be PREC or SUCC, got {op!r}")
+    prod = l_prec if op is PREC else l_succ if op is SUCC else _refuse(op)
     _require_same_alphabet(p, q)
     acc: dict[LWord, Coefficient] = {}
     for u, a in p._terms.items():
@@ -232,20 +231,20 @@ def leading(p: Polynomial) -> tuple[LWord, Coefficient]:
     return word, p._terms[word]
 
 
-HolePath = tuple[tuple[Callable[[LWord, LWord], LWord], bool, LWord], ...]
+HolePath = tuple[tuple[Op, bool, LWord], ...]
 
 
 def apply_context(path: HolePath, p: Polynomial) -> Polynomial:
     """p with every word put into the hole of path's context, normalized.
 
-    A hole path lists a context's steps from the hole up to the root, each
-    (basis product, whether the hole side is the left operand, sibling); the
-    empty path is the bare hole.  Rewrite steps fold the same form.  The
-    siblings must be normal words without holes over p's alphabet
-    (``admit``): fold_hole_path takes each sibling as it is, so a non-normal
-    one would give a wrong fold.
+    A hole path lists a context's steps root first, as a redex path string
+    does, each (operation, whether the hole is on the left, sibling); the
+    empty path is the bare hole.  Rewrite steps fold the same form.  Every
+    operation is PREC or SUCC and every sibling a normal word without holes
+    over p's alphabet, checked for every p, zero included (``admit``):
+    fold_hole_path takes each sibling as it is.
     """
-    admit((sibling for _, _, sibling in path), p.n, "a hole-path sibling")
+    admit((s if op is PREC or op is SUCC else _refuse(op) for op, _, s in path), p.n, "a hole-path sibling")
     return Polynomial._raw(p.n, fold_hole_path(path, p._terms.items()))
 
 
@@ -253,11 +252,14 @@ def fold_hole_path(path: HolePath, pairs: Iterable[tuple[LWord, Coefficient]]) -
     """The words of pairs put into the hole of path's context, normalized.
 
     Normalizing op(a, b) with normal a and b gives their op-product, so each
-    normal word folds up the path of normal siblings by the basis products.
+    normal word folds up the path of normal siblings by the basis products,
+    looked up as module globals at each step; any other operation is refused.
     """
+    up = path[::-1]
     acc: dict[LWord, Coefficient] = {}
     for u, a in pairs:
-        for product, hole_left, sibling in path:
+        for op, hole_left, sibling in up:
+            product = l_prec if op is PREC else l_succ if op is SUCC else _refuse(op)
             u = product(u, sibling) if hole_left else product(sibling, u)
         _accumulate(acc, u, a)
     return acc

@@ -129,23 +129,22 @@ def find_redexes(u: LWord) -> list[Redex]:
 def _first_match(u: LWord):
     """The one-path walk to the preorder-first redex of a normal word.
 
-    Returns (rule, bindings, steps), or None when u is DD-normal: the steps
-    of the redex's hole path as in ``poly.HolePath``, but root first.  A
-    normal word off the basis carries a redex, so the walk stops at a
-    matching subterm and otherwise enters the left child when that is off
-    the basis, else the right child.
+    Returns (rule, bindings, steps), or None when u is DD-normal: steps is
+    the redex's hole path (``poly.HolePath``, root first).  A normal word
+    off the basis carries a redex, so the walk stops at a matching subterm
+    and otherwise enters the left child when that is off the basis, else
+    the right child.
     """
     steps = []
     while not u.dd:
         matched = match_rule_at(u)
         if matched is not None:
             return matched[0], matched[1], steps
-        product = l_succ if u.op is SUCC else l_prec
         if u.left.dd:
-            steps.append((product, False, u.left))
+            steps.append((u.op, False, u.left))
             u = u.right
         else:
-            steps.append((product, True, u.right))
+            steps.append((u.op, True, u.right))
             u = u.left
     return None
 
@@ -170,13 +169,13 @@ def rule_polynomial(rule: RuleId, bindings, *, n: int | None = None) -> Polynomi
 
 def _step(u: LWord, rule: RuleId, bindings, steps) -> dict[LWord, int]:
     """The terms of one rewrite step of u: the rule's right side at the
-    bindings, folded up the hole path of its redex, given root first.
+    bindings, folded up the hole path of its redex, root first as given.
 
     The siblings are subterms of the normal word u, so normal, as the fold
     requires.  Every produced word must lie strictly below u
     (``RewriteOrderError`` otherwise).
     """
-    out = fold_hole_path(steps[::-1], _SIDES[rule][1](*bindings))
+    out = fold_hole_path(steps, _SIDES[rule][1](*bindings))
     for w in out:
         if compare(w, u) >= 0:
             path = "".join("L" if hole_left else "R" for _, hole_left, _ in steps)
@@ -200,7 +199,7 @@ def rewrite_step(u: LWord, redex: Redex, *, n: int | None = None) -> Polynomial:
         if target.op is None:
             raise StaleRedexError(f"path {redex.path!r} leaves the word")
         left = side == "L"
-        steps.append((l_succ if target.op is SUCC else l_prec, left, target.right if left else target.left))
+        steps.append((target.op, left, target.right if left else target.left))
         target = target.left if left else target.right
     matched = match_rule_at(target)
     if matched is None or matched[0] is not redex.rule or matched[1] != redex.bindings:

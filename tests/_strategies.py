@@ -14,7 +14,7 @@ from dendriform.gsbcheck import (
 from dendriform.oracle import enumerate_dd_words
 from dendriform.poly import Polynomial
 from dendriform.rewrite import Redex, match_rule_at
-from dendriform.terms import PREC, SUCC, generator, hole, l_prec, l_succ, node, normalize, substitute
+from dendriform.terms import PREC, SUCC, generator, hole, node, normalize, substitute
 
 
 def tree_words(n=2, max_leaves=6, holes=False):
@@ -58,26 +58,24 @@ def all_contexts(h, n):
 
 def hole_path(c):
     """The hole path of the one-hole word c, by the reference walk down to
-    the hole: steps from the hole up, each (basis product, whether the
-    hole side is the left operand, normalized sibling)."""
+    the hole: steps from the root down, each (operation, whether the hole
+    side is the left operand, normalized sibling)."""
     path = []
     while c.op is not None:
-        product = l_prec if c.op is PREC else l_succ
         if c.left.holes:
-            path.append((product, True, normalize(c.right)))
+            path.append((c.op, True, normalize(c.right)))
             c = c.left
         else:
-            path.append((product, False, normalize(c.left)))
+            path.append((c.op, False, normalize(c.left)))
             c = c.right
-    return tuple(reversed(path))
+    return tuple(path)
 
 
 def hole_word(path):
-    """The one-hole word whose hole path is path: each step spliced around
-    the word so far, with no basis product applied."""
+    """The one-hole word whose hole path is path: each step, from the hole
+    up, spliced around the word so far, with no basis product applied."""
     c = hole()
-    for product, hole_left, sibling in path:
-        op = PREC if product is l_prec else SUCC
+    for op, hole_left, sibling in reversed(path):
         c = node(op, c, sibling) if hole_left else node(op, sibling, c)
     return c
 

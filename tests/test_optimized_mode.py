@@ -48,6 +48,17 @@ for w in (parse_lword("(((x1 < x2) < x3) > ((x1 > x2) < x3))"), node(PREC, node(
 """,
         ["ValueError"] * 4,
     ),
+    "hole_path_operation": (
+        """
+from dendriform.poly import Polynomial, apply_context
+from dendriform.terms import PREC, generator, l_prec
+x1 = generator(1)
+for op in (l_prec, "<", None):
+    for p in (Polynomial.monomial(x1), Polynomial.zero(1)):
+        expect(ValueError, apply_context, ((PREC, True, x1), (op, False, x1)), p)
+""",
+        ["ValueError"] * 6,
+    ),
     "rewrite_descent": (
         """
 from dendriform import rewrite

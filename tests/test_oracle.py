@@ -114,7 +114,7 @@ class TestDDEnumeration:
 class TestContexts:
     def test_single_hole_everywhere(self):
         # Each path is the reference walk of the hole word it splices into:
-        # the same products, sides and sibling objects.
+        # the same operations, sides and sibling objects.
         for h in (1, 2, 3):
             for c in enumerate_contexts(h, 2):
                 word = hole_word(c)

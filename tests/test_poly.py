@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 
 from _strategies import all_contexts, hole_path, normal_words, polynomials, spliced
+from dendriform import poly
+from dendriform.oracle import enumerate_contexts
 from dendriform.poly import AlphabetMismatchError, Polynomial, admit, apply_context, leading, mul
-from dendriform.rewrite import RuleId, normal_form, rule_polynomial
+from dendriform.rewrite import RuleId, find_redexes, normal_form, rewrite_step, rule_polynomial
 from dendriform.terms import (
     PREC,
     SUCC,
@@ -182,9 +184,45 @@ class TestApplyContext:
         for sibling in (entangled, node(SUCC, x1, hole())):
             for hole_left in (True, False):
                 with pytest.raises(ValueError) as err:
-                    apply_context(((l_prec, hole_left, sibling),), mono(x2))
+                    apply_context(((PREC, hole_left, sibling),), mono(x2))
                 assert not isinstance(err.value, AlphabetMismatchError)
-        assert apply_context(((l_prec, True, normalize(entangled)),), mono(x2)) == mono(l_prec(x2, normalize(entangled)))
+        assert apply_context(((PREC, True, normalize(entangled)),), mono(x2)) == mono(l_prec(x2, normalize(entangled)))
+
+    def test_bad_operation_is_refused(self):
+        # The operation is checked with the siblings, so a zero p, which the
+        # fold never walks, is refused too.
+        for op in (l_prec, "<", 2, None):
+            for p in (mono(x2), Polynomial.zero(3)):
+                with pytest.raises(ValueError, match="operation must be PREC or SUCC"):
+                    apply_context(((SUCC, False, x1), (op, True, x3)), p)
+
+    def test_fold_calls_poly_products(self, monkeypatch):
+        # The tracer rebinds poly.l_prec and poly.l_succ; the fold must look
+        # them up there, for the oracle's contexts and for rewrite steps.
+        calls = {PREC: 0, SUCC: 0}
+
+        def counting(op, product):
+            def wrapped(u, v):
+                calls[op] += 1
+                return product(u, v)
+            return wrapped
+
+        monkeypatch.setattr(poly, "l_prec", counting(PREC, l_prec))
+        monkeypatch.setattr(poly, "l_succ", counting(SUCC, l_succ))
+        steps = {PREC: 0, SUCC: 0}
+        for path in enumerate_contexts(4, 1):
+            for op, _, _ in path:
+                steps[op] += 1
+            apply_context(path, mono(x1, n=1))
+        assert calls == steps and min(steps.values()) > 0
+        calls[PREC] = calls[SUCC] = 0
+        w = l_succ(x1, l_prec(l_prec(x1, x2), x3))
+        redex = find_redexes(w)[0]
+        assert (redex.rule, redex.path) == (RuleId.F1, "R")
+        assert rewrite_step(w, redex) == mono(l_succ(x1, l_prec(x1, l_prec(x2, x3)))) + mono(
+            l_succ(x1, l_prec(x1, l_succ(x2, x3)))
+        )
+        assert calls == {PREC: 0, SUCC: 2}
 
     def test_fold_equals_splice_and_normalize(self):
         # Every arbitrary context with four leaves over two generators, on

@@ -60,16 +60,16 @@ def first_match(w):
     """``_first_match`` on w as (rule, bindings, path string), or None.
 
     Also checks each of its steps, root first, against the subterm the walk
-    passes through: that subterm's product, the side the walk enters and the
-    sibling it leaves.
+    passes through: that subterm's operation, the side the walk enters and
+    the sibling it leaves.
     """
     found = rewrite._first_match(w)
     if found is None:
         return None
     rule, bindings, steps = found
     path = []
-    for product, hole_left, sibling in steps:
-        assert product is (l_prec if w.op is PREC else l_succ)
+    for op, hole_left, sibling in steps:
+        assert op is w.op
         assert sibling is (w.right if hole_left else w.left)
         path.append("L" if hole_left else "R")
         w = w.left if hole_left else w.right
@@ -263,9 +263,9 @@ class TestFindRedexes:
 
     @pytest.mark.parametrize("max_degree,n", [(6, 1), (5, 2)])
     def test_first_walk_is_the_hole_path(self, max_degree, n):
-        # The steps the first-redex walk hands to the fold are, in the
-        # fold's order, the hole path of the context with the hole at that
-        # redex: the same products, sides and sibling objects.
+        # The steps the first-redex walk hands to the fold are the hole
+        # path of the context with the hole at that redex: the same
+        # operations, sides and sibling objects, root first.
         checked = 0
         for m in range(3, max_degree + 1):
             for w in enumerate_normal_lwords(m, n):
@@ -274,8 +274,8 @@ class TestFindRedexes:
                 steps = rewrite._first_match(w)[2]
                 expected = hole_path(hole_at(w, find_redexes(w)[0].path))
                 assert len(steps) == len(expected)
-                for (product, hole_left, sibling), (e_product, e_hole_left, e_sibling) in zip(steps[::-1], expected):
-                    assert product is e_product and hole_left is e_hole_left and sibling is e_sibling
+                for (op, hole_left, sibling), (e_op, e_hole_left, e_sibling) in zip(steps, expected):
+                    assert op is e_op and hole_left is e_hole_left and sibling is e_sibling
                 checked += 1
         assert checked == {1: 715, 2: 3504}[n]  # the normal words off the basis
 
